@@ -77,20 +77,12 @@ class VariationSpec:
             )
 
 
-def _window_means(f: GridFunction, n: float, x: np.ndarray, S: np.ndarray) -> np.ndarray:
-    e = f.x0 + f.h * np.arange(f.n + 1)
-    top = float(S[-1])
-    s_hi = np.interp(x, e, S, left=0.0, right=top)
-    s_lo = np.interp(x - n, e, S, left=0.0, right=top)
-    return (s_hi - s_lo) / n
-
-
 def averages_at(f: GridFunction, n: float, x) -> np.ndarray:
     """A_n f at arbitrary points (fast antiderivative path)."""
     if not n > 0.0:
         raise NonPositiveWindow(f"window must be positive, got {n!r}")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return _window_means(f, n, x, f.antiderivative_edges())
+    return (f.primitive_at(x) - f.primitive_at(x - n)) / n
 
 
 def oracle_averages_at(f: GridFunction, n: float, x) -> np.ndarray:
@@ -114,17 +106,6 @@ def oracle_averages_at(f: GridFunction, n: float, x) -> np.ndarray:
     return out
 
 
-def average_fast(f: GridFunction, n: float, eval_grid: UniformGrid) -> GridFunction:
-    """A_n f sampled at the midpoints of eval_grid."""
-    vals = averages_at(f, n, eval_grid.midpoints)
-    return GridFunction(eval_grid.x0, eval_grid.h, vals)
-
-
-def average_oracle(f: GridFunction, n: float, eval_grid: UniformGrid) -> GridFunction:
-    vals = oracle_averages_at(f, n, eval_grid.midpoints)
-    return GridFunction(eval_grid.x0, eval_grid.h, vals)
-
-
 @dataclass(frozen=True, eq=False)
 class ScaleStack:
     """A_{n_k} f for k = 0..k_max at shared eval points; levels[k] is row k."""
@@ -142,15 +123,11 @@ def scale_stack_at(f: GridFunction, seq: LacunarySeq, k_max: int, x) -> ScaleSta
     if k_max > len(seq) - 1:
         raise ValueError(f"k_max={k_max} exceeds sequence length {len(seq)} - 1")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    S = f.antiderivative_edges()
+    upper = f.primitive_at(x)
     levels = np.empty((k_max + 1, x.size), dtype=np.float64)
-    for k in range(k_max + 1):
-        levels[k] = _window_means(f, seq.scales[k], x, S)
+    for k, n in enumerate(seq.scales[: k_max + 1]):
+        levels[k] = (upper - f.primitive_at(x - n)) / n
     return ScaleStack(x, levels, seq.scales[: k_max + 1])
-
-
-def scale_stack(f: GridFunction, seq: LacunarySeq, k_max: int, eval_grid: UniformGrid) -> ScaleStack:
-    return scale_stack_at(f, seq, k_max, eval_grid.midpoints)
 
 
 def _compensated_power_sum(diffs: np.ndarray, s: float) -> np.ndarray:

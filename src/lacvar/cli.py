@@ -6,9 +6,10 @@ Subcommands:
   dr-check       kernel difference bounds for scale pairs
   verify         run a named verification scenario and emit a report
 
-Exit codes for verify: 0 all checks passed, 1 at least one failed, 2 the
-run itself errored.  variation exits 2 when the truncation tail gate
-rejects the requested depth.
+Exit codes: 0 success (for verify and dr-check: every check passed), 1 at
+least one check failed, 2 the command could not run (bad input, a guard
+such as the truncation tail gate or the cell cap, or any other error),
+with a one-line `error: ...` on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 
-from .avgops import TailTooLarge, VariationSpec, default_eval_grid, variation
+from .avgops import VariationSpec, default_eval_grid, variation
 from .fourier import multiplier_sums, parse_xi_grid
 from .gridfn import read_function_csv, write_function_csv
 from .harness import default_scenario, emit_report, from_config, run_scenario
@@ -61,17 +62,11 @@ def _cmd_variation(args: argparse.Namespace) -> int:
     )
     grid = default_eval_grid(f, seq, k, h=args.eval_h)
     if grid.n > args.max_cells:
-        print(
-            f"error: evaluation grid needs {grid.n} cells (cap {args.max_cells}); "
-            "raise --eval-h or --max-cells",
-            file=sys.stderr,
+        raise ValueError(
+            f"evaluation grid needs {grid.n} cells (cap {args.max_cells}); "
+            "raise --eval-h or --max-cells"
         )
-        return 2
-    try:
-        v = variation(f, seq, spec, grid)
-    except TailTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    v = variation(f, seq, spec, grid)
     if args.out == "-":
         write_function_csv(v, sys.stdout)
     else:
@@ -127,38 +122,34 @@ def _cmd_dr_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        if args.config:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-            if args.scenario:
-                if "kind" in cfg and cfg["kind"] != args.scenario:
-                    raise ValueError(
-                        f"--scenario {args.scenario} disagrees with config kind {cfg['kind']}"
-                    )
-                cfg.setdefault("kind", args.scenario)
-            sc = from_config(cfg)
-        elif args.scenario:
-            sc = default_scenario(args.scenario)
-        else:
-            raise ValueError("need --scenario and/or --config")
-        if args.seed is not None:
-            sc = from_config({**sc.to_dict(), "seed": args.seed})
-        rep = run_scenario(sc)
-        _write_bytes(args.out, emit_report(rep, "json"))
-        if args.csv:
-            _write_bytes(args.csv, emit_report(rep, "csv"))
-        failed = [c.name for c in rep.checks if not c.passed]
-        verdict = "PASS" if rep.passed else "FAIL"
-        summary = f"{rep.kind}: {verdict} ({len(rep.checks)} checks"
-        if failed:
-            summary += f"; failed: {', '.join(failed)}"
-        summary += f") in {rep.elapsed_s:.2f}s"
-        print(summary, file=sys.stderr)
-        return 0 if rep.passed else 1
-    except Exception as exc:  # surface as exit 2 per contract
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.config:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if args.scenario:
+            if "kind" in cfg and cfg["kind"] != args.scenario:
+                raise ValueError(
+                    f"--scenario {args.scenario} disagrees with config kind {cfg['kind']}"
+                )
+            cfg.setdefault("kind", args.scenario)
+        sc = from_config(cfg)
+    elif args.scenario:
+        sc = default_scenario(args.scenario)
+    else:
+        raise ValueError("need --scenario and/or --config")
+    if args.seed is not None:
+        sc = from_config({**sc.to_dict(), "seed": args.seed})
+    rep = run_scenario(sc)
+    _write_bytes(args.out, emit_report(rep, "json"))
+    if args.csv:
+        _write_bytes(args.csv, emit_report(rep, "csv"))
+    failed = [c.name for c in rep.checks if not c.passed]
+    verdict = "PASS" if rep.passed else "FAIL"
+    summary = f"{rep.kind}: {verdict} ({len(rep.checks)} checks"
+    if failed:
+        summary += f"; failed: {', '.join(failed)}"
+    summary += f") in {rep.elapsed_s:.2f}s"
+    print(summary, file=sys.stderr)
+    return 0 if rep.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +215,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
         os.environ["LACVAR_THREADS"] = str(max(1, args.threads))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # any failure to run is exit 2, never 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -112,13 +112,26 @@ class GridFunction:
         out[1:] = acc.astype(np.float64)
         return out
 
+    def primitive_at(self, x) -> np.ndarray:
+        """Exact S(x) = int_{-inf}^{x} f at arbitrary points.
+
+        S is piecewise linear between cell edges, 0 left of the grid and the
+        total integral right of it.  The edge table is built on the first
+        call and kept on the (immutable) object; threads racing on that
+        first call store equal tables, so no lock is needed.
+        """
+        table = self.__dict__.get("_primitive")
+        if table is None:
+            table = (self.x0 + self.h * np.arange(self.n + 1), self.antiderivative_edges())
+            object.__setattr__(self, "_primitive", table)
+        edges, S = table
+        return np.interp(x, edges, S, left=0.0, right=S[-1])
+
     def integral(self, a: float, b: float) -> float:
         """Exact int_a^b f for a <= b (f vanishes outside the grid)."""
         if b < a:
             raise ValueError("need a <= b")
-        S = self.antiderivative_edges()
-        e = self.x0 + self.h * np.arange(self.n + 1)
-        sa, sb = np.interp([a, b], e, S, left=0.0, right=float(S[-1]))
+        sa, sb = self.primitive_at([a, b])
         return float(sb - sa)
 
 
@@ -234,10 +247,6 @@ def make_dyadic_family(
     return tuple(out)
 
 
-def average_over(f: GridFunction, I: Interval) -> float:
-    return f.integral(I.lo, I.hi) / I.length
-
-
 def bmo_norm(f: GridFunction, family: IntervalFamily) -> float:
     """sup over the family of the mean oscillation (f zero outside its grid).
 
@@ -246,13 +255,11 @@ def bmo_norm(f: GridFunction, family: IntervalFamily) -> float:
     """
     if not family:
         raise EmptyFamily("bmo_norm needs at least one interval")
-    S = f.antiderivative_edges()
-    e = f.x0 + f.h * np.arange(f.n + 1)
-    top = float(S[-1])
+    s_hi = f.primitive_at([I.hi for I in family])
+    s_lo = f.primitive_at([I.lo for I in family])
     best = 0.0
-    for I in family:
-        s_hi, s_lo = np.interp([I.hi, I.lo], e, S, left=0.0, right=top)
-        avg = (s_hi - s_lo) / I.length
+    for I, a, b in zip(family, s_lo, s_hi):
+        avg = (b - a) / I.length
         # fragment the interval by the cell edges it crosses
         i0 = max(int(np.ceil((I.lo - f.x0) / f.h)), 0)
         i1 = min(int(np.floor((I.hi - f.x0) / f.h)), f.n)
@@ -377,6 +384,9 @@ def read_function_csv(path_or_buf) -> GridFunction:
         if not meta.startswith("#"):
             raise ValueError("missing metadata comment line")
         fields = dict(tok.split("=", 1) for tok in meta[1:].split())
+        missing = [k for k in ("x0", "h", "n") if k not in fields]
+        if missing:
+            raise ValueError(f"metadata line lacks {', '.join(k + '=' for k in missing)}")
         x0, h, n = float(fields["x0"]), float(fields["h"]), int(fields["n"])
         header = buf.readline().strip()
         if header != _HEADER:

@@ -35,6 +35,7 @@ from .gridfn import (
     GridFunction,
     Interval,
     UniformGrid,
+    bmo_norm,
     lp_norm,
     make_atom,
     make_dyadic_family,
@@ -48,7 +49,7 @@ from .kernel import (
     indicator_identity,
     shell_integrals,
 )
-from .lacunary import LacunarySeq, gamma, parse_sequence, refine, validate_lacunary
+from .lacunary import LacunarySeq, gamma, parse_sequence, refine
 from .weights import ap_constant, a1_constant, parse_weight, Weight
 
 SCHEMA_VERSION = "lacvar-report/1"
@@ -137,6 +138,9 @@ class Scenario:
         }
         if self.kind in needs_family and "kind" not in self.family:
             raise ScenarioInvalid(f"{self.kind} needs a function family")
+        unknown = set(self.thresholds) - set(DEFAULT_THRESHOLDS)
+        if unknown:
+            raise ScenarioInvalid(f"unknown thresholds: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -364,57 +368,15 @@ def weak_sup(v: GridFunction, w_cells: np.ndarray | None = None) -> float:
     return float(np.max(vals[order] * cum))
 
 
-def _stability_dict(base: float, fine: float, threshold: float) -> dict:
-    return {
-        "base": base,
-        "refined": fine,
-        "rel_change": _rel_change(base, fine),
-        "threshold": threshold,
-    }
+@dataclass(frozen=True)
+class _Outcome:
+    """What a runner hands back to run_scenario, in report order."""
 
-
-def _tail_extra(f: GridFunction, seq: LacunarySeq, spec: VariationSpec) -> dict:
-    return {"tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
-
-
-# ------------------------------------------------------------- the runners
-
-
-def _run_ratio_family(sc, th, *, lhs_of, rhs_of, stability_key, extra_checks=None):
-    """Common scaffold: one case per family member, sup ratio, h -> h/2."""
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    fams = _materialize_family(sc)
-
-    def run_at(scale: int) -> list[tuple[float, float]]:
-        return _parallel_map(lambda f: (lhs_of(f, seq, spec, scale), rhs_of(f)), fams)
-
-    base = run_at(1)
-    fine = run_at(2)
-    cases = []
-    for i, (f, (lhs, rhs), (lhs2, _)) in enumerate(zip(fams, base, fine)):
-        extra = {"ratio_refined": lhs2 / rhs, **_tail_extra(f, seq, spec)}
-        cases.append(CaseResult(f"fn{i:03d}", lhs, rhs, lhs / rhs, extra))
-    sup_base = max(c.ratio for c in cases)
-    sup_fine = max(c.extra["ratio_refined"] for c in cases)
-    stab = _stability_dict(sup_base, sup_fine, th[stability_key])
-    checks = [
-        Check("sup_ratio_finite", math.isfinite(sup_base), {"sup_ratio": sup_base}),
-        Check(
-            "refinement_stability",
-            stab["rel_change"] <= th[stability_key],
-            {"rel_change": stab["rel_change"], "threshold": th[stability_key]},
-        ),
-    ]
-    if extra_checks:
-        checks += extra_checks(cases)
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_base,
-        "stability": stab,
-        "constants": {},
-    }
+    cases: list
+    checks: list
+    sup_ratio: float
+    stability: dict | None = None
+    constants: dict = field(default_factory=dict)
 
 
 def _grid_for(f: GridFunction, seq, spec, scale: int, eval_h: float | None):
@@ -422,70 +384,91 @@ def _grid_for(f: GridFunction, seq, spec, scale: int, eval_h: float | None):
     return default_eval_grid(f, seq, spec.k_max, h=h)
 
 
-def _run_strong_pp(sc, th):
-    p = sc.p
+def _family_cases(sc, seq, spec, fams, lhs_of, rhs_of, grid_of=None) -> list[CaseResult]:
+    """One case per family member: lhs_of(V_s f) against rhs_of(f).
+
+    V_s f is sampled on grid_of(f, 1) for the case ratio and again on
+    grid_of(f, 2) (half the step) for `ratio_refined`; the default grid is
+    the support plus the top-scale pad at `eval_h` (or f's own step).
+    """
     eval_h = sc.options.get("eval_h")
+    grid_of = grid_of or (lambda f, scale: _grid_for(f, seq, spec, scale, eval_h))
 
-    def lhs_of(f, seq, spec, scale):
-        v = variation(f, seq, spec, _grid_for(f, seq, spec, scale, eval_h))
-        return lp_norm(v, p)
+    def measure(f):
+        lhs = [lhs_of(variation(f, seq, spec, grid_of(f, scale))) for scale in (1, 2)]
+        return lhs, rhs_of(f)
 
-    return _run_ratio_family(
-        sc, th, lhs_of=lhs_of, rhs_of=lambda f: lp_norm(f, p), stability_key="stability"
+    cases = []
+    for i, (f, ((lhs, lhs2), rhs)) in enumerate(zip(fams, _parallel_map(measure, fams))):
+        extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
+        cases.append(CaseResult(f"fn{i:03d}", lhs, rhs, lhs / rhs, extra))
+    return cases
+
+
+def _stability(cases: list[CaseResult], threshold: float) -> dict:
+    """Sup ratio at the base resolution against the refined one."""
+    base = max(c.ratio for c in cases)
+    fine = max(c.extra["ratio_refined"] for c in cases)
+    return {"base": base, "refined": fine, "rel_change": _rel_change(base, fine), "threshold": threshold}
+
+
+def _finite_check(stab: dict) -> Check:
+    return Check("sup_ratio_finite", math.isfinite(stab["base"]), {"sup_ratio": stab["base"]})
+
+
+def _stability_check(stab: dict) -> Check:
+    return Check(
+        "refinement_stability",
+        stab["rel_change"] <= stab["threshold"],
+        {"rel_change": stab["rel_change"], "threshold": stab["threshold"]},
     )
+
+
+# ------------------------------------------------------------- the runners
+
+
+def _run_strong_pp(sc, th):
+    seq = _seq_of(sc)
+    spec = _vspec(sc, seq)
+    cases = _family_cases(
+        sc, seq, spec, _materialize_family(sc),
+        lambda v: lp_norm(v, sc.p), lambda f: lp_norm(f, sc.p),
+    )
+    stab = _stability(cases, th["stability"])
+    return _Outcome(cases, [_finite_check(stab), _stability_check(stab)], stab["base"], stab)
 
 
 def _run_weak_11(sc, th):
-    eval_h = sc.options.get("eval_h")
-
-    def lhs_of(f, seq, spec, scale):
-        v = variation(f, seq, spec, _grid_for(f, seq, spec, scale, eval_h))
-        return weak_sup(v)
-
-    def spread_check(cases):
-        ratios = [c.ratio for c in cases]
-        spread = (max(ratios) - min(ratios)) / min(ratios)
-        return [
-            Check(
-                "family_spread",
-                spread <= th["family_spread"],
-                {"spread": spread, "threshold": th["family_spread"]},
-            )
-        ]
-
-    return _run_ratio_family(
-        sc, th, lhs_of=lhs_of, rhs_of=lambda f: lp_norm(f, 1.0),
-        stability_key="stability", extra_checks=spread_check,
-    )
+    seq = _seq_of(sc)
+    spec = _vspec(sc, seq)
+    cases = _family_cases(sc, seq, spec, _materialize_family(sc), weak_sup, lambda f: lp_norm(f, 1.0))
+    stab = _stability(cases, th["stability"])
+    ratios = [c.ratio for c in cases]
+    spread = (max(ratios) - min(ratios)) / min(ratios)
+    checks = [
+        _finite_check(stab),
+        _stability_check(stab),
+        Check(
+            "family_spread",
+            spread <= th["family_spread"],
+            {"spread": spread, "threshold": th["family_spread"]},
+        ),
+    ]
+    return _Outcome(cases, checks, stab["base"], stab)
 
 
 def _run_weighted_pp(sc, th):
     p = sc.p
     wspec = parse_weight(sc.weight)
-    eval_h = sc.options.get("eval_h")
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
     fams = _materialize_family(sc)
-
-    def pair(f, scale):
-        grid = _grid_for(f, seq, spec, scale, eval_h)
-        v = variation(f, seq, spec, grid)
-        lhs = lp_norm(v, p, wspec.sample(v.grid).fn)
-        rhs = lp_norm(f, p, wspec.sample(f.grid).fn)
-        return lhs, rhs
-
-    base = _parallel_map(lambda f: pair(f, 1), fams)
-    fine = _parallel_map(lambda f: pair(f, 2), fams)
-    cases = [
-        CaseResult(
-            f"fn{i:03d}", lhs, rhs, lhs / rhs,
-            {"ratio_refined": l2 / rhs, **_tail_extra(f, seq, spec)},
-        )
-        for i, ((lhs, rhs), (l2, _), f) in enumerate(zip(base, fine, fams))
-    ]
-    sup_base = max(c.ratio for c in cases)
-    sup_fine = max(c.extra["ratio_refined"] for c in cases)
-    stab = _stability_dict(sup_base, sup_fine, th["stability_weighted"])
+    cases = _family_cases(
+        sc, seq, spec, fams,
+        lambda v: lp_norm(v, p, wspec.sample(v.grid).fn),
+        lambda f: lp_norm(f, p, wspec.sample(f.grid).fn),
+    )
+    stab = _stability(cases, th["stability_weighted"])
 
     # family-relative A_p constant of the weight, at two family resolutions
     f0 = fams[0]
@@ -501,53 +484,29 @@ def _run_weighted_pp(sc, th):
     ap_fine = ap_at(ml / 2.0, f0.h / 2.0)
     ap_change = _rel_change(ap_base, ap_fine)
     checks = [
-        Check("sup_ratio_finite", math.isfinite(sup_base), {"sup_ratio": sup_base}),
-        Check(
-            "refinement_stability",
-            stab["rel_change"] <= th["stability_weighted"],
-            {"rel_change": stab["rel_change"], "threshold": th["stability_weighted"]},
-        ),
+        _finite_check(stab),
+        _stability_check(stab),
         Check(
             "ap_estimate_stable",
             math.isfinite(ap_base) and ap_change <= th["ap_stability"],
             {"ap_base": ap_base, "ap_refined": ap_fine, "rel_change": ap_change},
         ),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_base,
-        "stability": stab,
-        "constants": {"ap_estimate": ap_base, "ap_estimate_refined": ap_fine, "weight": wspec.label},
-    }
+    constants = {"ap_estimate": ap_base, "ap_estimate_refined": ap_fine, "weight": wspec.label}
+    return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
 def _run_weighted_weak11(sc, th):
     wspec = parse_weight(sc.weight)
-    eval_h = sc.options.get("eval_h")
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
     fams = _materialize_family(sc)
-
-    def pair(f, scale):
-        grid = _grid_for(f, seq, spec, scale, eval_h)
-        v = variation(f, seq, spec, grid)
-        lhs = weak_sup(v, wspec.sample(v.grid).fn.values)
-        rhs = lp_norm(f, 1.0, wspec.sample(f.grid).fn)
-        return lhs, rhs
-
-    base = _parallel_map(lambda f: pair(f, 1), fams)
-    fine = _parallel_map(lambda f: pair(f, 2), fams)
-    cases = [
-        CaseResult(
-            f"fn{i:03d}", lhs, rhs, lhs / rhs,
-            {"ratio_refined": l2 / rhs, **_tail_extra(f, seq, spec)},
-        )
-        for i, ((lhs, rhs), (l2, _), f) in enumerate(zip(base, fine, fams))
-    ]
-    sup_base = max(c.ratio for c in cases)
-    sup_fine = max(c.extra["ratio_refined"] for c in cases)
-    stab = _stability_dict(sup_base, sup_fine, th["stability_weighted"])
+    cases = _family_cases(
+        sc, seq, spec, fams,
+        lambda v: weak_sup(v, wspec.sample(v.grid).fn.values),
+        lambda f: lp_norm(f, 1.0, wspec.sample(f.grid).fn),
+    )
+    stab = _stability(cases, th["stability_weighted"])
 
     # diagnostic: A_1 estimate of w^dual_r near the support, the hypothesis
     # side of the weighted weak-type statement
@@ -562,40 +521,25 @@ def _run_weighted_weak11(sc, th):
     fam = make_dyadic_family(Interval(probe.x0, probe.x1), 2.0 * probe.h, inside_only=True)
     a1 = a1_constant(w_pow, fam)
     checks = [
-        Check("sup_ratio_finite", math.isfinite(sup_base), {"sup_ratio": sup_base}),
-        Check(
-            "refinement_stability",
-            stab["rel_change"] <= th["stability_weighted"],
-            {"rel_change": stab["rel_change"], "threshold": th["stability_weighted"]},
-        ),
+        _finite_check(stab),
+        _stability_check(stab),
         Check("a1_hypothesis_finite", math.isfinite(a1), {"a1_estimate": a1}),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_base,
-        "stability": stab,
-        "constants": {"a1_estimate": a1, "dual_r": dual_r, "weight": wspec.label},
-    }
+    constants = {"a1_estimate": a1, "dual_r": dual_r, "weight": wspec.label}
+    return _Outcome(cases, checks, stab["base"], stab, constants)
+
+
+def _bmo_of(v: GridFunction) -> float:
+    domain = Interval(v.x0, v.x1)
+    return bmo_norm(v, make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False))
 
 
 def _run_linf_bmo(sc, th):
-    eval_h = sc.options.get("eval_h")
-
-    def lhs_of(f, seq, spec, scale):
-        grid = _grid_for(f, seq, spec, scale, eval_h)
-        v = variation(f, seq, spec, grid)
-        domain = Interval(v.x0, v.x1)
-        fam = make_dyadic_family(
-            domain, v.h, margin=domain.length, inside_only=False
-        )
-        from .gridfn import bmo_norm
-
-        return bmo_norm(v, fam)
-
-    return _run_ratio_family(
-        sc, th, lhs_of=lhs_of, rhs_of=sup_norm, stability_key="stability_bmo"
-    )
+    seq = _seq_of(sc)
+    spec = _vspec(sc, seq)
+    cases = _family_cases(sc, seq, spec, _materialize_family(sc), _bmo_of, sup_norm)
+    stab = _stability(cases, th["stability_bmo"])
+    return _Outcome(cases, [_finite_check(stab), _stability_check(stab)], stab["base"], stab)
 
 
 def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[tuple[float, float]]:
@@ -662,18 +606,12 @@ def _run_h1_l1(sc, th):
             )
         )
         per_scale_sup[m] = max(per_scale_sup.get(m, 0.0), base)
-    sup_base = max(c.ratio for c in cases)
-    sup_fine = max(c.extra["ratio_refined"] for c in cases)
-    stab = _stability_dict(sup_base, sup_fine, th["stability_h1"])
+    stab = _stability(cases, th["stability_h1"])
     sups = list(per_scale_sup.values())
     spread = (max(sups) - min(sups)) / min(sups)
     checks = [
-        Check("sup_ratio_finite", math.isfinite(sup_base), {"sup_ratio": sup_base}),
-        Check(
-            "refinement_stability",
-            stab["rel_change"] <= th["stability_h1"],
-            {"rel_change": stab["rel_change"], "threshold": th["stability_h1"]},
-        ),
+        _finite_check(stab),
+        _stability_check(stab),
         Check(
             "scale_spread",
             spread <= th["scale_spread"],
@@ -681,63 +619,43 @@ def _run_h1_l1(sc, th):
              "per_scale_sup": {str(m): v for m, v in sorted(per_scale_sup.items())}},
         ),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_base,
-        "stability": stab,
-        "constants": {"atom_count": len(jobs)},
-    }
+    return _Outcome(cases, checks, stab["base"], stab, {"atom_count": len(jobs)})
 
 
 def _run_l2_multiplier(sc, th):
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
-    fams = _materialize_family(sc)
     scan = sup_scan(seq, parse_xi_grid(sc.options["xi_grid"]), spec.k_max)
     bound = math.sqrt(scan.sup_q) * th["multiplier_slack"]
     eval_cells = int(sc.options["eval_cells"])
     nk = seq.scales[spec.k_max]
 
-    def pair(f, scale):
+    def grid_of(f, scale):
         span = (f.x1 + nk) - f.x0
-        grid = UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale)
-        v = variation(f, seq, spec, grid)
-        return lp_norm(v, 2.0), lp_norm(f, 2.0)
+        return UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale)
 
-    base = _parallel_map(lambda f: pair(f, 1), fams)
-    fine = _parallel_map(lambda f: pair(f, 2), fams)
-    cases = [
-        CaseResult(
-            f"fn{i:03d}", lhs, rhs, lhs / rhs,
-            {"ratio_refined": l2 / rhs, **_tail_extra(f, seq, spec)},
-        )
-        for i, ((lhs, rhs), (l2, _), f) in enumerate(zip(base, fine, fams))
-    ]
-    sup_base = max(c.ratio for c in cases)
-    sup_fine = max(c.extra["ratio_refined"] for c in cases)
-    worst = max(c.ratio for c in cases)
+    cases = _family_cases(
+        sc, seq, spec, _materialize_family(sc),
+        lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grid_of,
+    )
+    stab = _stability(cases, th["stability"])
+    worst = stab["base"]
     checks = [
-        Check("sup_ratio_finite", math.isfinite(sup_base), {"sup_ratio": sup_base}),
+        _finite_check(stab),
         Check(
             "multiplier_bound",
             worst <= bound,
             {"worst_ratio": worst, "bound": bound, "sqrt_sup_q": math.sqrt(scan.sup_q)},
         ),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_base,
-        "stability": _stability_dict(sup_base, sup_fine, th["stability"]),
-        "constants": {
-            "sup_q": scan.sup_q,
-            "sqrt_sup_q": math.sqrt(scan.sup_q),
-            "bound": bound,
-            "sup_i": scan.sup_i,
-            "argmax_xi": scan.argmax_xi,
-        },
+    constants = {
+        "sup_q": scan.sup_q,
+        "sqrt_sup_q": math.sqrt(scan.sup_q),
+        "bound": bound,
+        "sup_i": scan.sup_i,
+        "argmax_xi": scan.argmax_xi,
     }
+    return _Outcome(cases, checks, worst, stab, constants)
 
 
 def _run_vector_valued(sc, th):
@@ -766,8 +684,6 @@ def _run_vector_valued(sc, th):
         cases.append(
             CaseResult(f"rho{rho:g}", lhs, rhs, lhs / rhs, {"ratio_refined": lhs2 / rhs})
         )
-    sup_base = max(c.ratio for c in cases)
-    sup_fine = max(c.extra["ratio_refined"] for c in cases)
     slack = th["monotonicity_slack"]
     mono_ok = True
     worst_gap = 0.0
@@ -777,27 +693,17 @@ def _run_vector_valued(sc, th):
         scale_ref = max(1.0, float(np.max(aggs[lo].values)))
         if gap > slack * scale_ref:
             mono_ok = False
-    stab = _stability_dict(sup_base, sup_fine, th["stability"])
+    stab = _stability(cases, th["stability"])
     checks = [
-        Check("sup_ratio_finite", math.isfinite(sup_base), {"sup_ratio": sup_base}),
+        _finite_check(stab),
         Check(
             "aggregate_monotone_in_rho",
             mono_ok,
             {"worst_gap": worst_gap, "slack": slack},
         ),
-        Check(
-            "refinement_stability",
-            stab["rel_change"] <= th["stability"],
-            {"rel_change": stab["rel_change"], "threshold": th["stability"]},
-        ),
+        _stability_check(stab),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_base,
-        "stability": stab,
-        "constants": {},
-    }
+    return _Outcome(cases, checks, stab["base"], stab)
 
 
 def _random_lacunary(rng, *, length_range=(2, 13), beta_range=(1.1, 3.0), gap_exp=2.0, max_top=None):
@@ -808,7 +714,7 @@ def _random_lacunary(rng, *, length_range=(2, 13), beta_range=(1.1, 3.0), gap_ex
         scales = float(rng.uniform(0.5, 2.0)) * np.concatenate([[1.0], np.cumprod(ratios)])
         if max_top is not None and scales[-1] > max_top:
             continue
-        return validate_lacunary(tuple(scales), beta)
+        return LacunarySeq(tuple(scales), beta)
 
 
 def _run_refine_domination(sc, th):
@@ -877,13 +783,7 @@ def _run_refine_domination(sc, th):
             {"max_violation": worst, "slack": slack},
         ),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": worst,
-        "stability": None,
-        "constants": {"max_violation": worst},
-    }
+    return _Outcome(cases, checks, worst, constants={"max_violation": worst})
 
 
 def _run_dr_condition(sc, th):
@@ -931,14 +831,7 @@ def _run_dr_condition(sc, th):
         constants[f"slope_{tag}"] = slope
         constants[f"shell_total_{tag}"] = total
         constants[f"shell_last5_share_{tag}"] = tail_share
-    sup_ratio = max(c.ratio for c in cases)
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": sup_ratio,
-        "stability": None,
-        "constants": constants,
-    }
+    return _Outcome(cases, checks, max(c.ratio for c in cases), constants=constants)
 
 
 def _run_fourier_bound(sc, th):
@@ -968,21 +861,16 @@ def _run_fourier_bound(sc, th):
         Check("sup_i_bounded", hi.sup_i <= th["sup_i_bound"], {"sup_i": hi.sup_i}),
         Check("zero_at_origin", at0 == 0.0, {"value": at0}),
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": hi.sup_i / th["sup_i_bound"],
-        "stability": None,
-        "constants": {
-            "sup_i_lo": lo.sup_i,
-            "sup_i_hi": hi.sup_i,
-            "delta": delta,
-            "sup_q_hi": hi.sup_q,
-            "argmax_xi_lo": lo.argmax_xi,
-            "argmax_xi_hi": hi.argmax_xi,
-            "i2_max": i2_max,
-        },
+    constants = {
+        "sup_i_lo": lo.sup_i,
+        "sup_i_hi": hi.sup_i,
+        "delta": delta,
+        "sup_q_hi": hi.sup_q,
+        "argmax_xi_lo": lo.argmax_xi,
+        "argmax_xi_hi": hi.argmax_xi,
+        "i2_max": i2_max,
     }
+    return _Outcome(cases, checks, hi.sup_i / th["sup_i_bound"], constants=constants)
 
 
 def _run_indicator_identity(sc, th):
@@ -1021,13 +909,7 @@ def _run_indicator_identity(sc, th):
     checks = [
         Check("identity_exact_everywhere", total_viol == 0, {"violations": total_viol})
     ]
-    return {
-        "cases": cases,
-        "checks": checks,
-        "sup_ratio": float(total_viol),
-        "stability": None,
-        "constants": {"gamma": g},
-    }
+    return _Outcome(cases, checks, float(total_viol), constants={"gamma": g})
 
 
 _RUNNERS = {
@@ -1050,18 +932,18 @@ def run_scenario(sc: Scenario) -> VerificationReport:
     sc.validate()
     th = {**DEFAULT_THRESHOLDS, **sc.thresholds}
     t0 = time.perf_counter()
-    parts = _RUNNERS[sc.kind](sc, th)
+    out = _RUNNERS[sc.kind](sc, th)
     elapsed = time.perf_counter() - t0
     return VerificationReport(
         kind=sc.kind,
         scenario=sc.to_dict(),
-        cases=parts["cases"],
-        checks=parts["checks"],
-        sup_ratio=parts.get("sup_ratio"),
-        stability=parts.get("stability"),
-        constants=parts.get("constants", {}),
+        cases=out.cases,
+        checks=out.checks,
+        sup_ratio=out.sup_ratio,
+        stability=out.stability,
+        constants=out.constants,
         thresholds=th,
         seed=sc.seed,
-        passed=all(c.passed for c in parts["checks"]),
+        passed=all(c.passed for c in out.checks),
         elapsed_s=elapsed,
     )

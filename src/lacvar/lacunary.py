@@ -104,11 +104,6 @@ class RefinedSeq(LacunarySeq):
             last = i
 
 
-def validate_lacunary(scales, beta: float) -> LacunarySeq:
-    """Checked constructor; raises the error naming the first violating index."""
-    return LacunarySeq(tuple(scales), beta)
-
-
 def gamma(beta: float) -> int:
     """Smallest integer g >= 1 with 1/beta + 1/beta**g <= 1.
 

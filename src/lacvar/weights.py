@@ -65,14 +65,9 @@ def _require_inside(fn: GridFunction, I: Interval) -> None:
 
 
 def _averages(fn: GridFunction, family: IntervalFamily) -> np.ndarray:
-    S = fn.antiderivative_edges()
-    e = fn.x0 + fn.h * np.arange(fn.n + 1)
-    top = float(S[-1])
     los = np.array([I.lo for I in family])
     his = np.array([I.hi for I in family])
-    s_lo = np.interp(los, e, S, left=0.0, right=top)
-    s_hi = np.interp(his, e, S, left=0.0, right=top)
-    return (s_hi - s_lo) / (his - los)
+    return (fn.primitive_at(his) - fn.primitive_at(los)) / (his - los)
 
 
 def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:

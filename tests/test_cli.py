@@ -83,6 +83,23 @@ def test_dr_check_json(tmp_path):
     assert doc["y"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variation", "--input", "{no_n_csv}", "--seq", "geometric:1:2:6", "--out", "-"],
+        ["dr-check", "--seq", "geometric:1:2:24", "--r", "2", "--j", "5", "--i-range", "1:3", "--out", "-"],
+        ["fourier-bound", "--seq", "geometric:1:2:9", "--xi", "bogus", "--out", "-"],
+    ],
+    ids=["csv-without-n", "dr-check-i-below-j", "bad-xi-literal"],
+)
+def test_unrunnable_commands_exit_two(tmp_path, capsys, argv):
+    no_n_csv = tmp_path / "no_n.csv"
+    no_n_csv.write_text("# x0=0 h=0.5\nx,value\n0,1\n0.5,2\n")
+    rc = main([a.format(no_n_csv=no_n_csv) for a in argv])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_dr_check_missing_r_errors():
     with pytest.raises(SystemExit):
         main(["dr-check", "--seq", "geometric:1:2:12", "--j", "0", "--i-range", "1:6", "--out", "-"])

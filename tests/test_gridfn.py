@@ -14,7 +14,6 @@ from lacvar import (
     Interval,
     IntervalTooSmall,
     UniformGrid,
-    average_over,
     bmo_norm,
     lp_norm,
     make_atom,
@@ -145,10 +144,29 @@ def test_dyadic_family_empty_raises():
         make_dyadic_family(Interval(0.0, 1.0), 4.0)
 
 
-def test_average_over_matches_integral():
-    f = GridFunction(0.0, 1.0, [2.0, 4.0])
-    I = Interval(0.5, 1.5)
-    assert average_over(f, I) == pytest.approx(f.integral(0.5, 1.5) / 1.0)
+@given(
+    cells=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    x0=st.floats(-2.0, 2.0),
+    h=st.floats(0.01, 1.0),
+)
+def test_primitive_at_matches_clipped_overlap_sum(cells, seed, x0, h):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, size=cells)
+    f = GridFunction(x0, h, v)
+    lo = x0 + h * np.arange(cells)
+    hi = lo + h
+    x = np.concatenate([
+        [x0 - 1.0, x0 - 0.5 * h],             # left of the grid
+        f.grid.edges,                          # on cell edges
+        x0 + h * cells * rng.uniform(size=8),  # inside cells
+        [f.x1 + 0.5 * h, f.x1 + 3.0],          # right of the grid
+    ])
+    got = f.primitive_at(x)
+    want = np.array([np.sum(np.clip(np.minimum(t, hi) - lo, 0.0, h) * v) for t in x])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(v)) * h
+    # the second call reads the cached table and must not change a bit
+    assert f.primitive_at(x).tobytes() == got.tobytes()
 
 
 def test_bmo_hand_value():

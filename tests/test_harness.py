@@ -44,8 +44,12 @@ def test_from_config_requires_kind():
 
 
 def test_from_config_rejects_unknown_fields():
-    with pytest.raises(ScenarioInvalid):
-        from_config({"kind": "weak_11", "frobnicate": 1})
+    for cfg in (
+        {"kind": "weak_11", "frobnicate": 1},
+        {"kind": "weak_11", "thresholds": {"famly_spread": 0.0}},
+    ):
+        with pytest.raises(ScenarioInvalid):
+            from_config(cfg)
 
 
 def test_from_config_merges_over_defaults():

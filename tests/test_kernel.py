@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from lacvar import (
     IdentityViolated,
     KernelSpec,
+    LacunarySeq,
     PreconditionViolated,
     drlem_check,
     gamma,
@@ -18,7 +19,6 @@ from lacvar import (
     parse_sequence,
     refine,
     shell_integrals,
-    validate_lacunary,
 )
 
 
@@ -221,11 +221,11 @@ def test_gap_condition_clean_for_refined_random(beta, seed):
     scales = [1.0]
     for _ in range(6):
         scales.append(scales[-1] * beta * float(rng.uniform(1.0, 8.0)))
-    ref = refine(validate_lacunary(tuple(scales), beta))
+    ref = refine(LacunarySeq(tuple(scales), beta))
     assert gap_condition_violations(ref) == []
 
 
 def test_gap_condition_exact_equality_boundary():
     # beta = 2, gamma = 1: n_j + n_k = n_{k+1} holds with equality at j = k
-    seq = validate_lacunary((1.0, 2.0, 4.0, 8.0), 2.0)
+    seq = LacunarySeq((1.0, 2.0, 4.0, 8.0), 2.0)
     assert gap_condition_violations(seq) == []

@@ -13,14 +13,13 @@ from lacvar import (
     gamma,
     parse_sequence,
     refine,
-    validate_lacunary,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_validate_accepts_geometric():
-    seq = validate_lacunary((1.0, 2.0, 4.0, 8.0), 2.0)
+    seq = LacunarySeq((1.0, 2.0, 4.0, 8.0), 2.0)
     assert seq.scales == (1.0, 2.0, 4.0, 8.0)
     assert len(seq) == 4
     assert seq[2] == 4.0
@@ -28,24 +27,24 @@ def test_validate_accepts_geometric():
 
 def test_validate_accepts_exact_ratio_tie():
     # ratio exactly beta must pass despite the floating comparison
-    validate_lacunary((1.0, 1.5, 2.25), 1.5)
+    LacunarySeq((1.0, 1.5, 2.25), 1.5)
 
 
 def test_nonpositive_scale_flags_index():
     with pytest.raises(NonPositiveScale) as exc:
-        validate_lacunary((1.0, -2.0, 4.0), 2.0)
+        LacunarySeq((1.0, -2.0, 4.0), 2.0)
     assert exc.value.index == 1
 
 
 def test_not_increasing_flags_index():
     with pytest.raises(NotIncreasing) as exc:
-        validate_lacunary((1.0, 2.0, 2.0), 1.5)
+        LacunarySeq((1.0, 2.0, 2.0), 1.5)
     assert exc.value.index == 2
 
 
 def test_ratio_below_beta_flags_latter_index():
     with pytest.raises(RatioBelowBeta) as exc:
-        validate_lacunary((1.0, 2.0, 3.0), 2.0)
+        LacunarySeq((1.0, 2.0, 3.0), 2.0)
     assert exc.value.index == 2
     assert exc.value.ratio == pytest.approx(1.5)
     assert exc.value.beta == 2.0
@@ -53,7 +52,7 @@ def test_ratio_below_beta_flags_latter_index():
 
 def test_beta_must_exceed_one():
     with pytest.raises(ValueError):
-        validate_lacunary((1.0, 2.0), 1.0)
+        LacunarySeq((1.0, 2.0), 1.0)
 
 
 # ------------------------------------------------------------------- gamma
@@ -97,20 +96,20 @@ def test_gamma_is_one_from_two_up(beta):
 
 
 def test_refine_trace_with_gap():
-    seq = validate_lacunary((1.0, 10.0), 2.0)
+    seq = LacunarySeq((1.0, 10.0), 2.0)
     ref = refine(seq)
     assert ref.scales == (1.0, 2.0, 4.0, 10.0)
     assert ref.origin_indices == (0, 3)
 
 
 def test_refine_trace_single_insert():
-    ref = refine(validate_lacunary((1.0, 5.0), 2.0))
+    ref = refine(LacunarySeq((1.0, 5.0), 2.0))
     assert ref.scales == (1.0, 2.0, 5.0)
     assert ref.origin_indices == (0, 2)
 
 
 def test_refine_no_op_when_already_tight():
-    ref = refine(validate_lacunary((1.0, 2.0, 4.0), 2.0))
+    ref = refine(LacunarySeq((1.0, 2.0, 4.0), 2.0))
     assert ref.scales == (1.0, 2.0, 4.0)
     assert ref.origin_indices == (0, 1, 2)
 
@@ -130,7 +129,7 @@ def lacunary_seqs(draw):
     scales = [first]
     for g in gaps:
         scales.append(scales[-1] * beta * math.exp(g))
-    return validate_lacunary(tuple(scales), beta)
+    return LacunarySeq(tuple(scales), beta)
 
 
 @given(lacunary_seqs())
@@ -191,7 +190,7 @@ def test_parse_iterable_with_explicit_beta():
 
 
 def test_parse_passthrough():
-    seq = validate_lacunary((1.0, 2.0), 2.0)
+    seq = LacunarySeq((1.0, 2.0), 2.0)
     assert parse_sequence(seq) is seq
 
 
