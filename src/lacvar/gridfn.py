@@ -247,29 +247,61 @@ def make_dyadic_family(
     return tuple(out)
 
 
+def family_bounds(family: IntervalFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The family's left and right endpoints as two float64 arrays."""
+    lo = np.fromiter((I.lo for I in family), np.float64, len(family))
+    hi = np.fromiter((I.hi for I in family), np.float64, len(family))
+    return lo, hi
+
+
+# Entries per edge matrix in bmo_norm: long intervals on a fine grid are taken
+# a block of rows at a time, so memory stays bounded whatever the family.
+_BMO_BLOCK = 1 << 18
+
+
 def bmo_norm(f: GridFunction, family: IntervalFamily) -> float:
     """sup over the family of the mean oscillation (f zero outside its grid).
 
     Oscillation over I is (1/|I|) int_I |f - avg_I f|; on a step function
-    this is an exact sum over cell fragments, partial cells included.
+    this is an exact sum over cell fragments, partial cells included.  The
+    intervals are taken as arrays, grouped by how many cell edges they
+    cross, so that each group is one matrix; every row repeats the float
+    operations of a single interval, and a row sum of a C-ordered matrix
+    adds in the same order as the 1-d sum of that row.
     """
     if not family:
         raise EmptyFamily("bmo_norm needs at least one interval")
-    s_hi = f.primitive_at([I.hi for I in family])
-    s_lo = f.primitive_at([I.lo for I in family])
+    lo, hi = family_bounds(family)
+    avg = (f.primitive_at(hi) - f.primitive_at(lo)) / (hi - lo)
+    # cell edges x0 + i*h with i0 <= i <= i1 are the candidate cuts; the
+    # clips only keep far-away endpoints inside int64
+    i0 = np.clip(np.ceil((lo - f.x0) / f.h), 0, f.n + 1).astype(np.int64)
+    i1 = np.clip(np.floor((hi - f.x0) / f.h), -1, f.n).astype(np.int64)
+    count = np.maximum(i1 - i0 + 1, 0)
     best = 0.0
-    for I, a, b in zip(family, s_lo, s_hi):
-        avg = (b - a) / I.length
-        # fragment the interval by the cell edges it crosses
-        i0 = max(int(np.ceil((I.lo - f.x0) / f.h)), 0)
-        i1 = min(int(np.floor((I.hi - f.x0) / f.h)), f.n)
-        inner = f.x0 + f.h * np.arange(i0, i1 + 1)
-        inner = inner[(inner > I.lo) & (inner < I.hi)]
-        cuts = np.concatenate([[I.lo], inner, [I.hi]])
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        lens = np.diff(cuts)
-        osc = float(np.sum(np.abs(f(mids) - avg) * lens)) / I.length
-        best = max(best, osc)
+    for c in np.flatnonzero(np.bincount(count)):
+        group = np.flatnonzero(count == c)
+        step = max(_BMO_BLOCK // max(c, 1), 1)
+        for k in range(0, group.size, step):
+            best = max(best, _max_oscillation(f, lo, hi, avg, i0, group[k : k + step], c))
+    return best
+
+
+def _max_oscillation(f, lo, hi, avg, i0, rows, c) -> float:
+    """Largest oscillation over the intervals `rows`, each with c candidate edges."""
+    edges = f.x0 + f.h * (i0[rows, None] + np.arange(c))
+    keep = (edges > lo[rows, None]) & (edges < hi[rows, None])
+    kept = np.count_nonzero(keep, axis=1)
+    best = 0.0
+    for m in np.flatnonzero(np.bincount(kept)):
+        sel = kept == m
+        r = rows[sel]
+        inner = edges[sel][keep[sel]].reshape(r.size, m)
+        cuts = np.concatenate([lo[r, None], inner, hi[r, None]], axis=1)
+        mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        lens = np.diff(cuts, axis=1)
+        osc = np.sum(np.abs(f(mids) - avg[r, None]) * lens, axis=1) / (hi[r] - lo[r])
+        best = max(best, float(np.max(osc)))
     return best
 
 
@@ -300,16 +332,36 @@ def make_atom(I: Interval, seed: int, cells: int = 32) -> Atom:
     return Atom(GridFunction(I.lo, I.length / cells, v), I)
 
 
+# The parameters each family kind reads; every kind also takes x0.
+FAMILY_PARAMS = {
+    "indicator": ("scales", "cells"),
+    "haar": ("scales",),
+    "bump": ("scales", "cells"),
+    "random_step": ("count", "seed", "cells", "length"),
+    "spike": ("epsilons",),
+}
+
+
+def check_family_params(kind: str, params: dict) -> None:
+    """Raise BadParams for an unknown family kind or a parameter it does not read."""
+    if kind not in FAMILY_PARAMS:
+        raise BadParams(f"unknown family kind {kind!r}")
+    unknown = set(params) - {"x0", *FAMILY_PARAMS[kind]}
+    if unknown:
+        raise BadParams(f"unknown {kind} family parameters: {sorted(unknown)}")
+
+
 def make_family(kind: str, params: dict) -> list[GridFunction]:
     """Deterministic test-function corpora.
 
     kinds and their params (all accept an optional left endpoint x0):
-      indicator    scales: lengths L -> unit-height indicators of [x0, x0+L)
+      indicator    scales, cells=1: lengths L -> unit-height indicators of [x0, x0+L)
       haar         scales: lengths L -> +1 then -1 over two half cells
-      bump         scales: lengths L -> raised cosine, peak 1
+      bump         scales, cells=64: lengths L -> raised cosine, peak 1
       random_step  count, seed, cells=64, length=1.0 -> uniform(-1,1) steps
       spike        epsilons: widths e -> (1/e) * indicator of [x0, x0+e)
     """
+    check_family_params(kind, params)
     x0 = float(params.get("x0", 0.0))
     if kind == "indicator":
         scales = params.get("scales")
@@ -349,7 +401,6 @@ def make_family(kind: str, params: dict) -> list[GridFunction]:
         if not eps:
             raise BadParams("spike family needs non-empty 'epsilons'")
         return [GridFunction(x0, float(e), np.array([1.0 / float(e)])) for e in eps]
-    raise BadParams(f"unknown family kind {kind!r}")
 
 
 # ---------------------------------------------------------------- CSV format

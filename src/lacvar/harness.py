@@ -32,10 +32,12 @@ import numpy as np
 from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variation_at, vector_variation
 from .fourier import multiplier_tail, parse_xi_grid, sup_scan
 from .gridfn import (
+    BadParams,
     GridFunction,
     Interval,
     UniformGrid,
     bmo_norm,
+    check_family_params,
     lp_norm,
     make_atom,
     make_dyadic_family,
@@ -138,6 +140,12 @@ class Scenario:
         }
         if self.kind in needs_family and "kind" not in self.family:
             raise ScenarioInvalid(f"{self.kind} needs a function family")
+        if "kind" in self.family:
+            params = {k: v for k, v in self.family.items() if k != "kind"}
+            try:
+                check_family_params(self.family["kind"], params)
+            except BadParams as exc:
+                raise ScenarioInvalid(str(exc)) from exc
         unknown = set(self.thresholds) - set(DEFAULT_THRESHOLDS)
         if unknown:
             raise ScenarioInvalid(f"unknown thresholds: {sorted(unknown)}")
@@ -229,7 +237,11 @@ def from_config(config: dict) -> Scenario:
         if key in ("rho", "lambda_grid"):
             val = tuple(val)
         if key in ("family", "options", "thresholds"):
-            val = {**getattr(sc, key), **val}
+            base = getattr(sc, key)
+            # a family of another kind shares no parameters with the default
+            if key == "family" and val.get("kind", base.get("kind")) != base.get("kind"):
+                base = {}
+            val = {**base, **val}
         updates[key] = val
     sc = replace(sc, **updates)
     sc.validate()
@@ -529,15 +541,21 @@ def _run_weighted_weak11(sc, th):
     return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
-def _bmo_of(v: GridFunction) -> float:
-    domain = Interval(v.x0, v.x1)
-    return bmo_norm(v, make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False))
-
-
 def _run_linf_bmo(sc, th):
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
-    cases = _family_cases(sc, seq, spec, _materialize_family(sc), _bmo_of, sup_norm)
+    # one dyadic family per eval grid, shared by the members that sit on it;
+    # threads racing on a key store equal tuples, so no lock is needed
+    families: dict[tuple, tuple] = {}
+
+    def bmo_of(v: GridFunction) -> float:
+        key = (v.x0, v.h, v.n)
+        if key not in families:
+            domain = Interval(v.x0, v.x1)
+            families[key] = make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False)
+        return bmo_norm(v, families[key])
+
+    cases = _family_cases(sc, seq, spec, _materialize_family(sc), bmo_of, sup_norm)
     stab = _stability(cases, th["stability_bmo"])
     return _Outcome(cases, [_finite_check(stab), _stability_check(stab)], stab["base"], stab)
 

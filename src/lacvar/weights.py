@@ -18,9 +18,9 @@ import numpy as np
 from .gridfn import (
     EmptyFamily,
     GridFunction,
-    Interval,
     IntervalFamily,
     UniformGrid,
+    family_bounds,
     read_function_csv,
     require_same_grid,
 )
@@ -44,30 +44,31 @@ class Weight:
             )
 
 
-def _cell_range(fn: GridFunction, I: Interval) -> tuple[int, int]:
-    """Indices [i0, i1] of cells overlapping I with positive measure."""
-    i0 = int(np.floor((I.lo - fn.x0) / fn.h))
-    if fn.x0 + (i0 + 1) * fn.h <= I.lo:
-        i0 += 1
-    i1 = int(np.ceil((I.hi - fn.x0) / fn.h)) - 1
-    if fn.x0 + i1 * fn.h >= I.hi:
-        i1 -= 1
+def _cell_ranges(fn: GridFunction, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices [i0, i1] of the cells overlapping each (lo, hi) with positive measure."""
+    i0 = np.floor((lo - fn.x0) / fn.h).astype(np.int64)
+    i0 += fn.x0 + (i0 + 1) * fn.h <= lo
+    i1 = np.ceil((hi - fn.x0) / fn.h).astype(np.int64) - 1
+    i1 -= fn.x0 + i1 * fn.h >= hi
     return i0, i1
 
 
-def _require_inside(fn: GridFunction, I: Interval) -> None:
+def _inside_bounds(fn: GridFunction, family: IntervalFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The family's endpoints, after checking that every interval lies in fn's domain."""
+    lo, hi = family_bounds(family)
     slack = 1e-9 * fn.h
-    if I.lo < fn.x0 - slack or I.hi > fn.x1 + slack:
+    outside = (lo < fn.x0 - slack) | (hi > fn.x1 + slack)
+    if outside.any():
+        I = family[int(np.argmax(outside))]
         raise ValueError(
             f"interval ({I.lo!r}, {I.hi!r}) leaves the weight's domain "
             f"[{fn.x0!r}, {fn.x1!r}]; averages would see the zero extension"
         )
+    return lo, hi
 
 
-def _averages(fn: GridFunction, family: IntervalFamily) -> np.ndarray:
-    los = np.array([I.lo for I in family])
-    his = np.array([I.hi for I in family])
-    return (fn.primitive_at(his) - fn.primitive_at(los)) / (his - los)
+def _averages(fn: GridFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return (fn.primitive_at(hi) - fn.primitive_at(lo)) / (hi - lo)
 
 
 def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:
@@ -80,10 +81,9 @@ def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:
         raise ValueError(f"need p > 1, got {p!r}")
     if not family:
         raise EmptyFamily("ap_constant needs at least one interval")
-    for I in family:
-        _require_inside(w.fn, I)
+    lo, hi = _inside_bounds(w.fn, family)
     dual = GridFunction(w.fn.x0, w.fn.h, w.fn.values ** (-1.0 / (p - 1.0)))
-    prod = _averages(w.fn, family) * _averages(dual, family) ** (p - 1.0)
+    prod = _averages(w.fn, lo, hi) * _averages(dual, lo, hi) ** (p - 1.0)
     return float(np.max(prod))
 
 
@@ -91,17 +91,19 @@ def a1_constant(w: Weight, family: IntervalFamily) -> float:
     """max over the family of (avg_I w) / (min of w on cells meeting I)."""
     if not family:
         raise EmptyFamily("a1_constant needs at least one interval")
-    for I in family:
-        _require_inside(w.fn, I)
-    avgs = _averages(w.fn, family)
-    best = 0.0
-    for I, avg in zip(family, avgs):
-        i0, i1 = _cell_range(w.fn, I)
-        i0, i1 = max(i0, 0), min(i1, w.fn.n - 1)
-        if i1 < i0:
-            raise ValueError(f"interval ({I.lo!r}, {I.hi!r}) covers no grid cell")
-        best = max(best, float(avg) / float(np.min(w.fn.values[i0 : i1 + 1])))
-    return best
+    lo, hi = _inside_bounds(w.fn, family)
+    i0, i1 = _cell_ranges(w.fn, lo, hi)
+    i0, i1 = np.maximum(i0, 0), np.minimum(i1, w.fn.n - 1)
+    empty = i1 < i0
+    if empty.any():
+        I = family[int(np.argmax(empty))]
+        raise ValueError(f"interval ({I.lo!r}, {I.hi!r}) covers no grid cell")
+    # min over values[i0:i1+1] for each interval: reduceat over the
+    # interleaved starts and stops, keeping the even segments; the padded
+    # slot makes a stop at n a valid index
+    padded = np.append(w.fn.values, np.inf)
+    mins = np.minimum.reduceat(padded, np.stack([i0, i1 + 1], axis=1).ravel())[::2]
+    return float(np.max(_averages(w.fn, lo, hi) / mins))
 
 
 def power_weight(alpha: float, grid: UniformGrid) -> Weight:

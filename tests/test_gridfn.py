@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lacvar import gridfn
 from lacvar import (
     Atom,
     BadParams,
@@ -167,6 +168,75 @@ def test_primitive_at_matches_clipped_overlap_sum(cells, seed, x0, h):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(v)) * h
     # the second call reads the cached table and must not change a bit
     assert f.primitive_at(x).tobytes() == got.tobytes()
+
+
+def oracle_bmo_norm(f: GridFunction, family) -> float:
+    """Interval-by-interval mean oscillation: the loop bmo_norm replaced.
+
+    It repeats the float operations of the array version one interval at a
+    time, so the two must agree bit for bit.
+    """
+    s_hi = f.primitive_at([I.hi for I in family])
+    s_lo = f.primitive_at([I.lo for I in family])
+    best = 0.0
+    for I, a, b in zip(family, s_lo, s_hi):
+        avg = (b - a) / I.length
+        i0 = max(int(np.ceil((I.lo - f.x0) / f.h)), 0)
+        i1 = min(int(np.floor((I.hi - f.x0) / f.h)), f.n)
+        inner = f.x0 + f.h * np.arange(i0, i1 + 1)
+        inner = inner[(inner > I.lo) & (inner < I.hi)]
+        cuts = np.concatenate([[I.lo], inner, [I.hi]])
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        lens = np.diff(cuts)
+        osc = float(np.sum(np.abs(f(mids) - avg) * lens)) / I.length
+        best = max(best, osc)
+    return best
+
+
+def _mixed_family(f: GridFunction, rng, margin: float, shift: float, depth: int):
+    """Dyadic with margin, a shifted lattice, cell-cutting, outside and one-cell intervals."""
+    L = f.x1 - f.x0
+    fam = make_dyadic_family(
+        Interval(f.x0, f.x1), (1.0 + 2.0 * margin) * L / 2.0**depth, margin=margin * L,
+        shifts=(0.0, shift), inside_only=False,
+    )
+    ends = np.sort(rng.uniform(f.x0 - L, f.x1 + L, size=(12, 2)), axis=1)
+    cutting = tuple(Interval(a, b) for a, b in ends if b > a)
+    gap, width = rng.uniform(0.01, 2.0, size=2) * L
+    outside = (Interval(f.x1 + gap, f.x1 + gap + width), Interval(f.x0 - gap - width, f.x0 - gap))
+    cells = rng.integers(0, f.n, size=3)
+    one_cell = tuple(Interval(f.x0 + f.h * i, f.x0 + f.h * (i + 1)) for i in cells)
+    return fam + cutting + outside + one_cell
+
+
+@given(
+    cells=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+    x0=st.floats(-3.0, 3.0),
+    h=st.floats(0.005, 1.0),
+    margin=st.sampled_from([0.0, 0.5, 1.0]),
+    shift=st.sampled_from([0.0, 0.25, 0.5, 1.0 / 3.0]),
+    depth=st.integers(1, 8),
+)
+def test_bmo_norm_matches_oracle_exactly(cells, seed, x0, h, margin, shift, depth):
+    rng = np.random.default_rng(seed)
+    f = GridFunction(x0, h, rng.uniform(-1.0, 1.0, size=cells))
+    fam = _mixed_family(f, rng, margin, shift, depth)
+    assert bmo_norm(f, fam) == oracle_bmo_norm(f, fam)
+    for I in fam[::7]:
+        assert bmo_norm(f, (I,)) == oracle_bmo_norm(f, (I,))
+
+
+def test_bmo_norm_blocks_long_intervals(monkeypatch):
+    # a tiny block forces the row blocking that bounds memory on long
+    # intervals; in each prefix of the family the newest interval sits in the
+    # last block of its group, so a block left out shows as a missed maximum
+    rng = np.random.default_rng(5)
+    f = GridFunction(-0.3, 1.0 / 96, rng.uniform(-1.0, 1.0, size=96))
+    fam = _mixed_family(f, rng, 1.0, 0.5, 6)
+    want = np.maximum.accumulate([oracle_bmo_norm(f, (I,)) for I in fam])
+    monkeypatch.setattr(gridfn, "_BMO_BLOCK", 5)
+    assert [bmo_norm(f, fam[: j + 1]) for j in range(len(fam))] == want.tolist()
 
 
 def test_bmo_hand_value():

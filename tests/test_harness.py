@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from lacvar import (
     DEFAULT_THRESHOLDS,
+    BadParams,
     GridFunction,
     Interval,
     SCENARIO_KINDS,
@@ -15,6 +18,7 @@ from lacvar import (
     default_scenario,
     emit_report,
     from_config,
+    make_family,
     parse_sequence,
     run_scenario,
     superlevel_measure,
@@ -47,9 +51,13 @@ def test_from_config_rejects_unknown_fields():
     for cfg in (
         {"kind": "weak_11", "frobnicate": 1},
         {"kind": "weak_11", "thresholds": {"famly_spread": 0.0}},
+        {"kind": "linf_bmo", "family": {"cont": 3}},
+        {"kind": "linf_bmo", "family": {"kind": "spike", "epsilons": [0.5], "count": 3}},
     ):
         with pytest.raises(ScenarioInvalid):
             from_config(cfg)
+    with pytest.raises(BadParams, match="cont"):
+        make_family("random_step", {"count": 3, "cont": 3})
 
 
 def test_from_config_merges_over_defaults():
@@ -58,6 +66,9 @@ def test_from_config_merges_over_defaults():
     assert sc.family["count"] == 3
     assert sc.family["cells"] == 64  # untouched default survives the merge
     assert sc.options == default_scenario("strong_pp").options
+    # a family of another kind replaces the default instead of merging over it
+    spikes = from_config({"kind": "strong_pp", "family": {"kind": "spike", "epsilons": [0.5]}})
+    assert spikes.family == {"kind": "spike", "epsilons": [0.5]}
 
 
 def test_scenario_validation_rules():
@@ -176,6 +187,21 @@ def test_report_bytes_deterministic_across_thread_caps():
         else:
             os.environ["LACVAR_THREADS"] = old
     assert a == b
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12])
+@pytest.mark.parametrize("kind", ["linf_bmo", "weighted_weak11"])
+def test_interval_family_reports_match_benchmark_reference(kind, seed):
+    # the case table prints lhs with 17 digits, so a one-bit move in bmo_norm
+    # or a1_constant changes this digest
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["seeds"][str(seed)][kind]
+    rep = run_scenario(from_config({"kind": kind, "seed": seed}))
+    assert hashlib.sha256(emit_report(rep, "csv")).hexdigest() == ref["case_csv_sha256"]
+    verdicts = {c.name: bool(c.passed) for c in rep.checks}
+    assert {name: verdicts.get(name) for name in ref["verdicts"]} == ref["verdicts"]
 
 
 def test_seed_changes_random_cases_not_schema():

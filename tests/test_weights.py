@@ -59,8 +59,8 @@ def test_a1_hand_value():
 
 def test_ap_requires_family_inside_domain():
     w = _weight([1.0, 2.0])
-    with pytest.raises(ValueError):
-        ap_constant(w, 2.0, (Interval(-1.0, 1.0),))
+    with pytest.raises(ValueError, match=r"interval \(-1.0, 1.0\) leaves"):
+        ap_constant(w, 2.0, (Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, 3.0)))
     with pytest.raises(EmptyFamily):
         ap_constant(w, 2.0, ())
 
@@ -100,6 +100,66 @@ def test_ap_monotone_in_family(vals):
     small = make_dyadic_family(Interval(0.0, 1.0), 0.5)
     big = small + (Interval(0.0, 0.25), Interval(0.25, 0.75))
     assert ap_constant(w, 2.0, big) >= ap_constant(w, 2.0, small)
+
+
+def oracle_a1_constant(w: Weight, family) -> float:
+    """Interval-by-interval A_1 estimate: the loop a1_constant replaced."""
+    fn = w.fn
+    slack = 1e-9 * fn.h
+    for I in family:
+        if I.lo < fn.x0 - slack or I.hi > fn.x1 + slack:
+            raise ValueError(
+                f"interval ({I.lo!r}, {I.hi!r}) leaves the weight's domain "
+                f"[{fn.x0!r}, {fn.x1!r}]; averages would see the zero extension"
+            )
+    best = 0.0
+    for I in family:
+        avg = fn.integral(I.lo, I.hi) / I.length
+        i0 = int(np.floor((I.lo - fn.x0) / fn.h))
+        if fn.x0 + (i0 + 1) * fn.h <= I.lo:
+            i0 += 1
+        i1 = int(np.ceil((I.hi - fn.x0) / fn.h)) - 1
+        if fn.x0 + i1 * fn.h >= I.hi:
+            i1 -= 1
+        i0, i1 = max(i0, 0), min(i1, fn.n - 1)
+        if i1 < i0:
+            raise ValueError(f"interval ({I.lo!r}, {I.hi!r}) covers no grid cell")
+        best = max(best, avg / float(np.min(fn.values[i0 : i1 + 1])))
+    return best
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    cells=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    x0=st.floats(-3.0, 3.0),
+    h=st.floats(0.01, 1.0),
+    shift=st.sampled_from([0.0, 0.25, 0.5]),
+    stray=st.sampled_from(["none", "outside", "sliver"]),
+)
+def test_a1_matches_oracle_exactly(cells, seed, x0, h, shift, stray):
+    rng = np.random.default_rng(seed)
+    w = _weight(rng.uniform(0.05, 20.0, size=cells), x0=x0, h=h)
+    fn = w.fn
+    fam = make_dyadic_family(Interval(fn.x0, fn.x1), (fn.x1 - fn.x0) / 64, shifts=(0.0, shift))
+    ends = np.sort(rng.uniform(fn.x0, fn.x1, size=(10, 2)), axis=1)
+    fam += tuple(Interval(a, b) for a, b in ends if b > a)
+    fam += tuple(Interval(fn.x0 + fn.h * i, fn.x0 + fn.h * (i + 1)) for i in rng.integers(0, cells, 3))
+    # a stray interval mid-family: the first offender must be named, as before
+    extra = {
+        "none": (),
+        "outside": (Interval(fn.x1 - 0.5 * fn.h, fn.x1 + fn.h), Interval(fn.x0 - fn.h, fn.x0)),
+        "sliver": (Interval(fn.x1, fn.x1 + 1e-10 * fn.h),),  # inside the slack, on no cell
+    }[stray]
+    k = int(rng.integers(0, len(fam) + 1))
+    fam = fam[:k] + extra + fam[k:]
+    assert _outcome(a1_constant, w, fam) == _outcome(oracle_a1_constant, w, fam)
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=32))
