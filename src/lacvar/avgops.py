@@ -3,8 +3,10 @@
 The window average is A_n f(x) = (1/n) * int_0^n f(x - t) dt, i.e. the mean
 of f over [x - n, x].  For a step function this is exact arithmetic: the
 fast path reads two values off the antiderivative, the oracle sums cell
-overlaps directly.  The variation stacks a lacunary family of windows and
-takes the ell^s norm of consecutive differences.
+overlaps directly.  The variation runs over a lacunary family of windows and
+takes the ell^s norm of consecutive differences, folding one scale at a time
+into a compensated sum; `scale_stack_at` keeps every level instead and is
+the reference route the tests hold the fold to.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 
 from .gridfn import GridFunction, GridMismatch, UniformGrid, require_same_grid
 from .lacunary import LacunarySeq
+
+# Points per chunk of variation_at: its scratch is a few arrays of this size.
+_CHUNK = 1 << 14
 
 
 class NonPositiveWindow(ValueError):
@@ -120,6 +125,7 @@ class ScaleStack:
 
 
 def scale_stack_at(f: GridFunction, seq: LacunarySeq, k_max: int, x) -> ScaleStack:
+    """A_{n_k} f for k = 0..k_max at x, all levels held at once."""
     if k_max > len(seq) - 1:
         raise ValueError(f"k_max={k_max} exceeds sequence length {len(seq)} - 1")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -130,21 +136,22 @@ def scale_stack_at(f: GridFunction, seq: LacunarySeq, k_max: int, x) -> ScaleSta
     return ScaleStack(x, levels, seq.scales[: k_max + 1])
 
 
-def _compensated_power_sum(diffs: np.ndarray, s: float) -> np.ndarray:
-    """sum_k diffs[k]**s per column, ascending k, Neumaier-compensated.
+def _fold_power(acc: np.ndarray, comp: np.ndarray, term: np.ndarray, s: float, big: np.ndarray) -> None:
+    """acc += term**s, Neumaier-compensated into comp, all in place.
 
-    The order and the compensation are fixed so results do not depend on
-    how work is split across threads.
+    term is overwritten and big is scratch of the same shape.  Every term
+    is >= 0 and so is acc, so the larger magnitude is the larger value:
+    max/min pick the same branch as comparing absolute values would.
+    Folding terms in a fixed order with this compensation keeps results
+    independent of how work is split across threads or chunks.
     """
-    acc = np.zeros(diffs.shape[1], dtype=np.float64)
-    comp = np.zeros_like(acc)
-    for k in range(diffs.shape[0]):
-        term = diffs[k] ** s
-        total = acc + term
-        acc_big = np.abs(acc) >= np.abs(term)
-        comp += np.where(acc_big, (acc - total) + term, (term - total) + acc)
-        acc = total
-    return acc + comp
+    term **= s
+    np.maximum(acc, term, out=big)
+    np.minimum(acc, term, out=term)
+    np.add(big, term, out=acc)
+    big -= acc
+    big += term
+    comp += big
 
 
 def l1_norm(f: GridFunction) -> float:
@@ -204,11 +211,37 @@ def _tail_gate(tail: float, sup_val: float, spec: VariationSpec, seq: LacunarySe
 
 
 def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
-    """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s)."""
+    """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s).
+
+    The points are taken in chunks of _CHUNK and each scale is folded into
+    the running sum as soon as its level is known, so the scratch memory is
+    O(_CHUNK) whatever the number of scales; only the result is O(len(x)).
+    """
     spec.check_seq(seq)
-    stack = scale_stack_at(f, seq, spec.k_max, x)
-    diffs = np.abs(np.diff(stack.levels, axis=0))
-    vals = _compensated_power_sum(diffs, spec.s) ** (1.0 / spec.s)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    scales = seq.scales[: spec.k_max + 1]
+    vals = np.empty(x.size, dtype=np.float64)
+    for lo in range(0, x.size, _CHUNK):
+        xc = x[lo : lo + _CHUNK]
+        upper = f.primitive_at(xc)
+        shifted = np.empty_like(xc)
+        acc = np.zeros_like(xc)
+        comp = np.zeros_like(xc)
+        big = np.empty_like(xc)
+        prev = None
+        for n in scales:
+            np.subtract(xc, n, out=shifted)
+            level = f.primitive_at(shifted)
+            np.subtract(upper, level, out=level)
+            level /= n
+            if prev is not None:
+                np.subtract(level, prev, out=prev)
+                np.abs(prev, out=prev)
+                _fold_power(acc, comp, prev, spec.s, big)
+            prev = level
+        out = vals[lo : lo + _CHUNK]
+        np.add(acc, comp, out=out)
+        out **= 1.0 / spec.s
     _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(vals, initial=0.0)), spec, seq)
     return vals
 
@@ -242,6 +275,12 @@ def vector_variation(
         require_same_grid(fs[0], g)
     if eval_grid is None:
         eval_grid = default_eval_grid(fs[0], seq, spec.k_max)
-    parts = np.stack([variation_at(g, seq, spec, eval_grid.midpoints) for g in fs])
-    agg = _compensated_power_sum(parts, rho) ** (1.0 / rho)
-    return GridFunction(eval_grid.x0, eval_grid.h, agg)
+    x = eval_grid.midpoints
+    acc = np.zeros(x.size, dtype=np.float64)
+    comp = np.zeros_like(acc)
+    big = np.empty_like(acc)
+    for g in fs:
+        _fold_power(acc, comp, variation_at(g, seq, spec, x), rho, big)
+    acc += comp
+    acc **= 1.0 / rho
+    return GridFunction(eval_grid.x0, eval_grid.h, acc)

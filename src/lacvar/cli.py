@@ -178,7 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="waive the truncation tail gate",
     )
-    pv.add_argument("--max-cells", type=int, default=MAX_EVAL_CELLS)
+    pv.add_argument(
+        "--max-cells",
+        type=int,
+        default=MAX_EVAL_CELLS,
+        help="refuse evaluation grids with more cells than this (default %(default)s); "
+        "memory grows by a few tens of bytes per cell, whatever the number of scales",
+    )
     pv.add_argument("--out", required=True, help="output CSV path, '-' for stdout")
     pv.set_defaults(func=_cmd_variation)
 

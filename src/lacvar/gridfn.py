@@ -406,6 +406,8 @@ def make_family(kind: str, params: dict) -> list[GridFunction]:
 # ---------------------------------------------------------------- CSV format
 
 _HEADER = "x,value"
+# Rows formatted per write: one string of this many rows, not of the file.
+_CSV_ROWS = 1 << 14
 
 
 def write_function_csv(f: GridFunction, path_or_buf) -> None:
@@ -420,8 +422,9 @@ def write_function_csv(f: GridFunction, path_or_buf) -> None:
         buf.write(f"# x0={f.x0:.17g} h={f.h:.17g} n={f.n}\n")
         buf.write(_HEADER + "\n")
         edges = f.x0 + f.h * np.arange(f.n)
-        for x, v in zip(edges, f.values):
-            buf.write(f"{x:.17g},{v:.17g}\n")
+        for lo in range(0, f.n, _CSV_ROWS):
+            pairs = np.column_stack((edges[lo : lo + _CSV_ROWS], f.values[lo : lo + _CSV_ROWS]))
+            buf.write(("%.17g,%.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
     finally:
         if own:
             buf.close()

@@ -56,20 +56,25 @@ from .weights import ap_constant, a1_constant, parse_weight, Weight
 
 SCHEMA_VERSION = "lacvar-report/1"
 
-SCENARIO_KINDS = (
-    "strong_pp",
-    "weak_11",
-    "h1_l1",
-    "linf_bmo",
-    "l2_multiplier",
-    "weighted_pp",
-    "weighted_weak11",
-    "vector_valued",
-    "refine_domination",
-    "dr_condition",
-    "fourier_bound",
-    "indicator_identity",
-)
+# The `options` keys each scenario kind's runner reads.  `eval_h` is the
+# eval-grid step of the kinds that measure on the default grid;
+# `l2_multiplier` sizes its grid by `eval_cells` instead.
+OPTION_KEYS = {
+    "strong_pp": ("eval_h",),
+    "weak_11": ("eval_h",),
+    "h1_l1": ("scale_exps", "atoms_per_scale", "atom_cells", "zone_points"),
+    "linf_bmo": ("eval_h",),
+    "l2_multiplier": ("eval_cells", "xi_grid"),
+    "weighted_pp": ("eval_h", "ap_min_len"),
+    "weighted_weak11": ("eval_h", "dual_r"),
+    "vector_valued": ("eval_h",),
+    "refine_domination": ("sequence_count",),
+    "dr_condition": ("r_values", "j", "i_range", "y", "shell_l_max"),
+    "fourier_bound": ("xi_grid", "k_pair"),
+    "indicator_identity": ("i_range", "y_count", "x_count"),
+}
+
+SCENARIO_KINDS = tuple(OPTION_KEYS)
 
 DEFAULT_THRESHOLDS = {
     "stability": 0.10,
@@ -149,6 +154,9 @@ class Scenario:
         unknown = set(self.thresholds) - set(DEFAULT_THRESHOLDS)
         if unknown:
             raise ScenarioInvalid(f"unknown thresholds: {sorted(unknown)}")
+        unknown = set(self.options) - set(OPTION_KEYS[self.kind])
+        if unknown:
+            raise ScenarioInvalid(f"unknown {self.kind} options: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from lacvar import (
     variation_at,
     vector_variation,
 )
-from lacvar.avgops import _compensated_power_sum, l1_norm
+from lacvar import avgops
+from lacvar.avgops import _fold_power, l1_norm
 
 
 def _spec(**kw):
@@ -293,12 +296,92 @@ def test_vector_variation_rejects_mixed_grids(step_fn):
 # ----------------------------------------------------- compensated summing
 
 
+def _old_compensated_power_sum(rows: np.ndarray, s: float) -> np.ndarray:
+    """sum_k rows[k]**s per column: the loop the streamed kernel replaced."""
+    acc = np.zeros(rows.shape[1], dtype=np.float64)
+    comp = np.zeros_like(acc)
+    for k in range(rows.shape[0]):
+        term = rows[k] ** s
+        total = acc + term
+        acc_big = np.abs(acc) >= np.abs(term)
+        comp += np.where(acc_big, (acc - total) + term, (term - total) + acc)
+        acc = total
+    return acc + comp
+
+
+def oracle_variation_at(f, seq, spec, x) -> np.ndarray:
+    """V_s f through the whole scale stack, then np.diff, then the old sum."""
+    stack = scale_stack_at(f, seq, spec.k_max, x)
+    diffs = np.abs(np.diff(stack.levels, axis=0))
+    return _old_compensated_power_sum(diffs, spec.s) ** (1.0 / spec.s)
+
+
 @given(
     st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=40),
     st.sampled_from([1.0, 1.5, 2.0, 3.0]),
 )
 def test_compensated_power_sum_matches_fsum(diffs, s):
-    col = np.asarray(diffs, dtype=np.float64).reshape(-1, 1)
-    got = _compensated_power_sum(col, s)[0]
+    acc, comp, big = np.zeros(1), np.zeros(1), np.empty(1)
+    for d in diffs:
+        _fold_power(acc, comp, np.array([d]), s, big)
+    got = (acc + comp)[0]
     want = math.fsum(float(d) ** s for d in diffs)
     assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.3]),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=40),
+)
+def test_streamed_variation_matches_stack_route_exactly(seed, s, chunk, npts):
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(1, 40))
+    f = GridFunction(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.01, 0.5)),
+                     rng.uniform(-1.0, 1.0, size=cells))
+    seq = parse_sequence(f"geometric:{rng.uniform(0.01, 1.0):.6g}:2:{int(rng.integers(2, 10))}")
+    spec = _spec(s=s, k_max=int(rng.integers(1, len(seq))))
+    # unsorted, with points left of the support and past the largest window
+    x = rng.uniform(f.x0 - 3.0, f.x1 + 2.0 * seq.scales[-1], size=npts)
+    want = oracle_variation_at(f, seq, spec, x)
+    with mock.patch.object(avgops, "_CHUNK", chunk):
+        got = variation_at(f, seq, spec, x)
+    assert got.tobytes() == want.tobytes()
+    assert variation_at(f, seq, spec, x).tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.5, 2.0, 3.0]),
+    st.integers(min_value=1, max_value=7),
+)
+def test_vector_variation_matches_stacked_route_exactly(seed, rho, chunk):
+    rng = np.random.default_rng(seed)
+    fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8))
+          for _ in range(int(rng.integers(1, 6)))]
+    seq = parse_sequence("geometric:0.25:2:6")
+    spec = _spec(s=2.5, k_max=5)
+    grid = UniformGrid(-1.0, float(rng.uniform(0.05, 0.5)), int(rng.integers(1, 60)))
+    parts = np.stack([oracle_variation_at(g, seq, spec, grid.midpoints) for g in fs])
+    want = _old_compensated_power_sum(parts, rho) ** (1.0 / rho)
+    with mock.patch.object(avgops, "_CHUNK", chunk):
+        got = vector_variation(fs, seq, spec, rho, grid)
+    assert got.values.tobytes() == want.tobytes()
+
+
+def test_variation_scratch_does_not_grow_with_scales():
+    # 2^18 points over 16 scales: the stacked route peaked at 46 x.nbytes
+    rng = np.random.default_rng(0)
+    f = GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64))
+    seq = parse_sequence("geometric:0.03125:2:16")
+    spec = _spec(k_max=15)
+    x = np.linspace(-1.0, 1025.0, 1 << 18)
+    f.primitive_at(0.0)  # build the cached edge table outside the traced call
+    tracemalloc.start()
+    try:
+        variation_at(f, seq, spec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.nbytes

@@ -354,6 +354,20 @@ def test_csv_layout_metadata_then_header_then_left_edges():
     assert lines[4].split(",")[0] == "1"
 
 
+@pytest.mark.parametrize("rows_per_write", [1, 3, 10, 1 << 14])
+def test_csv_rows_match_row_by_row_format(monkeypatch, rows_per_write):
+    # the row-at-a-time writer the chunked one replaced, as a byte oracle
+    rng = np.random.default_rng(5)
+    f = GridFunction(-0.3, 0.004, np.concatenate([[0.0, -0.0, 5e-324], rng.uniform(-1e3, 1e3, 7)]))
+    want = f"# x0={f.x0:.17g} h={f.h:.17g} n={f.n}\nx,value\n" + "".join(
+        f"{x:.17g},{v:.17g}\n" for x, v in zip(f.x0 + f.h * np.arange(f.n), f.values)
+    )
+    monkeypatch.setattr(gridfn, "_CSV_ROWS", rows_per_write)
+    buf = io.StringIO()
+    write_function_csv(f, buf)
+    assert buf.getvalue() == want
+
+
 def test_csv_rejects_row_count_mismatch():
     text = "# x0=0 h=1 n=3\nx,value\n0,1\n1,2\n"
     with pytest.raises(ValueError):

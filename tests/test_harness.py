@@ -56,6 +56,18 @@ def test_from_config_rejects_unknown_fields():
     ):
         with pytest.raises(ScenarioInvalid):
             from_config(cfg)
+    # options a runner does not read, including a key another kind reads
+    for cfg, bad in (
+        ({"kind": "strong_pp", "options": {"eval_hh": 0.1}}, "eval_hh"),
+        ({"kind": "l2_multiplier", "options": {"eval_h": 0.1}}, "eval_h"),
+        ({"kind": "weighted_pp", "options": {"dual_r": 3.0}}, "dual_r"),
+    ):
+        with pytest.raises(ScenarioInvalid, match=bad):
+            from_config(cfg)
+    for kind in SCENARIO_KINDS:
+        from_config({"kind": kind, "options": default_scenario(kind).options})
+    from_config({"kind": "weighted_weak11", "options": {"eval_h": 0.125, "dual_r": 3.0}})
+    from_config({"kind": "dr_condition", "options": {"y": 1.5}})
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
 
