@@ -259,6 +259,47 @@ def variation(
     return GridFunction(eval_grid.x0, eval_grid.h, vals)
 
 
+def vector_variations(
+    fs: list[GridFunction],
+    seq: LacunarySeq,
+    spec: VariationSpec,
+    rhos: tuple[float, ...],
+    eval_grid: UniformGrid | None = None,
+) -> list[GridFunction]:
+    """Pointwise ell^rho aggregates (sum_j (V_s f_j)^rho)^(1/rho), one per rho.
+
+    Each V_s f_j is computed once and folded into every rho's sum, _CHUNK
+    points at a time through scratch copies, so the memory beyond the sums
+    is one V_s array and O(_CHUNK) scratch.
+    """
+    if not fs:
+        raise ValueError("need at least one function")
+    for rho in rhos:
+        if not rho > 1.0:
+            raise ValueError(f"aggregation exponent must exceed 1, got {rho!r}")
+    for g in fs[1:]:
+        require_same_grid(fs[0], g)
+    if eval_grid is None:
+        eval_grid = default_eval_grid(fs[0], seq, spec.k_max)
+    x = eval_grid.midpoints
+    sums = [(np.zeros(x.size), np.zeros(x.size)) for _ in rhos]
+    term, big = np.empty(_CHUNK), np.empty(_CHUNK)
+    for g in fs:
+        v = variation_at(g, seq, spec, x)
+        for lo in range(0, x.size, _CHUNK):
+            n = min(_CHUNK, x.size - lo)
+            for rho, (acc, comp) in zip(rhos, sums):
+                np.copyto(term[:n], v[lo : lo + n])
+                _fold_power(acc[lo : lo + n], comp[lo : lo + n], term[:n], rho, big[:n])
+    out = []
+    for rho in rhos:
+        acc, comp = sums.pop(0)  # each sum is freed once its result is made
+        acc += comp
+        acc **= 1.0 / rho
+        out.append(GridFunction(eval_grid.x0, eval_grid.h, acc))
+    return out
+
+
 def vector_variation(
     fs: list[GridFunction],
     seq: LacunarySeq,
@@ -267,20 +308,4 @@ def vector_variation(
     eval_grid: UniformGrid | None = None,
 ) -> GridFunction:
     """Pointwise ell^rho aggregate (sum_j (V_s f_j)^rho)^(1/rho)."""
-    if not fs:
-        raise ValueError("need at least one function")
-    if not rho > 1.0:
-        raise ValueError(f"aggregation exponent must exceed 1, got {rho!r}")
-    for g in fs[1:]:
-        require_same_grid(fs[0], g)
-    if eval_grid is None:
-        eval_grid = default_eval_grid(fs[0], seq, spec.k_max)
-    x = eval_grid.midpoints
-    acc = np.zeros(x.size, dtype=np.float64)
-    comp = np.zeros_like(acc)
-    big = np.empty_like(acc)
-    for g in fs:
-        _fold_power(acc, comp, variation_at(g, seq, spec, x), rho, big)
-    acc += comp
-    acc **= 1.0 / rho
-    return GridFunction(eval_grid.x0, eval_grid.h, acc)
+    return vector_variations(fs, seq, spec, (rho,), eval_grid)[0]

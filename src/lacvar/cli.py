@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker cap for scenario cases (overrides LACVAR_THREADS)",
+        help="thread cap for scenario cases whose kernel calls reach one chunk (overrides LACVAR_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,8 +8,10 @@ and pass/fail checks against configured thresholds.
 Reports are deterministic: identical scenario + seed gives byte-identical
 JSON.  Wall-clock timing is kept on the in-memory report object only and
 never serialized, precisely so the byte-determinism contract can hold.
-Case parallelism (capped by LACVAR_THREADS) cannot change output bytes
-either: every case is pure and results are assembled in case order.
+Cases run on threads (capped by LACVAR_THREADS) only when a kernel call
+reaches one chunk of points; vector_valued folds its members in a loop.
+Threads cannot change output bytes either: every case is pure and results
+are assembled in case order.
 
 A note on truncation: scenario measurements run with the variation tail
 gate waived and instead record the analytic tail bound alongside each case.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variation_at, vector_variation
+from .avgops import _CHUNK, VariationSpec, default_eval_grid, tail_bound, variation, variation_at, vector_variations
 from .fourier import multiplier_tail, parse_xi_grid, sup_scan
 from .gridfn import (
     BadParams,
@@ -131,19 +133,15 @@ class Scenario:
             raise ScenarioInvalid("variation exponent s must be >= 1")
         if self.p is not None and not self.p > 1.0:
             raise ScenarioInvalid("norm exponent p must exceed 1")
-        needs_p = {"strong_pp", "l2_multiplier", "weighted_pp", "vector_valued"}
-        if self.kind in needs_p and self.p is None:
+        default = default_scenario(self.kind)
+        if default.p is not None and self.p is None:
             raise ScenarioInvalid(f"{self.kind} needs p")
         if self.kind.startswith("weighted") and not self.weight:
             raise ScenarioInvalid(f"{self.kind} needs a weight literal")
         if self.kind == "vector_valued":
             if not self.rho or any(not r > 1.0 for r in self.rho):
                 raise ScenarioInvalid("vector_valued needs aggregation exponents > 1")
-        needs_family = {
-            "strong_pp", "weak_11", "linf_bmo", "l2_multiplier",
-            "weighted_pp", "weighted_weak11", "vector_valued", "refine_domination",
-        }
-        if self.kind in needs_family and "kind" not in self.family:
+        if "kind" in default.family and "kind" not in self.family:
             raise ScenarioInvalid(f"{self.kind} needs a function family")
         if "kind" in self.family:
             params = {k: v for k, v in self.family.items() if k != "kind"}
@@ -334,20 +332,26 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
 # ------------------------------------------------------------ shared helpers
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("LACVAR_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _refined(items: list, measure, points: int) -> list[tuple]:
+    """(measure(item, 1), measure(item, 2)) for each item, in item order.
 
+    Scale 2 refines scale 1 to half the step.  `points` is the number of
+    points one scale-1 call evaluates.  Items run on a thread pool only
+    when that is at least one kernel chunk: smaller calls contend for the
+    interpreter lock, and ran slower on two threads than in a loop.
+    """
+    def both(item):
+        return measure(item, 1), measure(item, 2)
 
-def _parallel_map(fn, items):
-    items = list(items)
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(x) for x in items]
+    env = os.environ.get("LACVAR_THREADS") or str(os.cpu_count() or 1)
+    try:
+        cap = min(max(1, int(env)), len(items))
+    except ValueError:
+        raise ValueError(f"LACVAR_THREADS must be an integer, got {env!r}") from None
+    if points < _CHUNK or cap <= 1:
+        return [both(item) for item in items]
     with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
+        return list(ex.map(both, items))
 
 
 def _seq_of(sc: Scenario) -> LacunarySeq:
@@ -413,13 +417,14 @@ def _family_cases(sc, seq, spec, fams, lhs_of, rhs_of, grid_of=None) -> list[Cas
     """
     eval_h = sc.options.get("eval_h")
     grid_of = grid_of or (lambda f, scale: _grid_for(f, seq, spec, scale, eval_h))
-
-    def measure(f):
-        lhs = [lhs_of(variation(f, seq, spec, grid_of(f, scale))) for scale in (1, 2)]
-        return lhs, rhs_of(f)
-
+    lhs_pairs = _refined(
+        fams,
+        lambda f, scale: lhs_of(variation(f, seq, spec, grid_of(f, scale))),
+        max(grid_of(f, 1).n for f in fams),
+    )
     cases = []
-    for i, (f, ((lhs, lhs2), rhs)) in enumerate(zip(fams, _parallel_map(measure, fams))):
+    for i, (f, (lhs, lhs2)) in enumerate(zip(fams, lhs_pairs)):
+        rhs = rhs_of(f)
         extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
         cases.append(CaseResult(f"fn{i:03d}", lhs, rhs, lhs / rhs, extra))
     return cases
@@ -587,7 +592,8 @@ def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[tuple[float, 
     return [(a, b) for a, b in merged]
 
 
-def _zone_l1(fn: GridFunction, I: Interval, seq, spec, points_per_scale: int) -> float:
+def _zone_cells(I: Interval, seq, spec, points_per_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and widths of the cells that tile the atom zones of I."""
     zones = _atom_zones(I, seq, spec.k_max)
     target = I.length / points_per_scale
     pts = []
@@ -597,8 +603,7 @@ def _zone_l1(fn: GridFunction, I: Interval, seq, spec, points_per_scale: int) ->
         hz = (hi - lo) / m
         pts.append(lo + hz * (np.arange(m) + 0.5))
         widths.append(np.full(m, hz))
-    vals = variation_at(fn, seq, spec, np.concatenate(pts))
-    return float(np.dot(vals, np.concatenate(widths)))
+    return np.concatenate(pts), np.concatenate(widths)
 
 
 def _run_h1_l1(sc, th):
@@ -614,14 +619,16 @@ def _run_h1_l1(sc, th):
         for m in exps
         for sidx in range(per_scale)
     ]
+    # the atoms of one scale share their interval, so they share its zone cells
+    zone = {(m, scale): _zone_cells(Interval(0.0, 2.0**m), seq, spec, scale * zp)
+            for m in exps for scale in (1, 2)}
 
-    def norms(job):
-        m, sidx, atom = job
-        base = _zone_l1(atom.fn, atom.interval, seq, spec, zp)
-        fine = _zone_l1(atom.fn, atom.interval, seq, spec, 2 * zp)
-        return base, fine
+    def l1_of(job, scale):
+        m, _, atom = job
+        x, widths = zone[m, scale]
+        return float(np.dot(variation_at(atom.fn, seq, spec, x), widths))
 
-    results = _parallel_map(norms, jobs)
+    results = _refined(jobs, l1_of, max(zone[m, 1][0].size for m in exps))
     cases = []
     per_scale_sup: dict[int, float] = {}
     for (m, sidx, atom), (base, fine) in zip(jobs, results):
@@ -691,25 +698,16 @@ def _run_vector_valued(sc, th):
     p = sc.p
     rhos = tuple(sorted(sc.rho))
     f0 = fams[0]
-
-    def agg_rhs(rho: float) -> float:
-        stack = np.stack([np.abs(f.values) ** rho for f in fams])
-        agg = np.sum(stack, axis=0) ** (1.0 / rho)
-        return lp_norm(GridFunction(f0.x0, f0.h, agg), p)
-
-    def agg_lhs(rho: float, scale: int) -> tuple[float, GridFunction]:
-        grid = _grid_for(f0, seq, spec, scale, sc.options.get("eval_h"))
-        vv = vector_variation(fams, seq, spec, rho, grid)
-        return lp_norm(vv, p), vv
-
-    results = _parallel_map(lambda r: (agg_lhs(r, 1), agg_lhs(r, 2), agg_rhs(r)), rhos)
+    grids = [_grid_for(f0, seq, spec, scale, sc.options.get("eval_h")) for scale in (1, 2)]
+    # V_s f does not depend on rho: one kernel call per member and grid
+    aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids[0])))
+    fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids[1])]
     cases = []
-    aggs = {}
-    for rho, ((lhs, vv), (lhs2, _), rhs) in zip(rhos, results):
-        aggs[rho] = vv
-        cases.append(
-            CaseResult(f"rho{rho:g}", lhs, rhs, lhs / rhs, {"ratio_refined": lhs2 / rhs})
-        )
+    for rho, lhs2 in zip(rhos, fine):
+        f_agg = np.sum(np.stack([np.abs(f.values) ** rho for f in fams]), axis=0) ** (1.0 / rho)
+        rhs = lp_norm(GridFunction(f0.x0, f0.h, f_agg), p)
+        lhs = lp_norm(aggs[rho], p)
+        cases.append(CaseResult(f"rho{rho:g}", lhs, rhs, lhs / rhs, {"ratio_refined": lhs2 / rhs}))
     slack = th["monotonicity_slack"]
     mono_ok = True
     worst_gap = 0.0
@@ -768,10 +766,12 @@ def _run_refine_domination(sc, th):
         for _ in range(3)
     ]
     slack = th["domination_slack"]
-
-    def dom_case(idx_f):
-        idx, f = idx_f
-        seq = dom_seqs[idx % len(dom_seqs)]
+    cases = [structure_case]
+    worst = 0.0
+    holder_ok = True
+    refined = []  # Hoelder (gap, ratio) of the members whose refinement inserted scales
+    for i, f in enumerate(fams):
+        seq = dom_seqs[i % len(dom_seqs)]
         ref = refine(seq)
         spec_o = _vspec(sc, seq, k_max=len(seq) - 1)
         spec_r = _vspec(sc, ref, k_max=len(ref) - 1)
@@ -789,23 +789,19 @@ def _run_refine_domination(sc, th):
         h_gap = float(np.max(v_o.values - v_h))
         pos = v_h > 0.0
         h_ratio = float(np.max(v_o.values[pos] / v_h[pos], initial=0.0))
-        return viol, frac, len(ref) - len(seq), (h_gap, h_ratio, h_gap <= tol)
-
-    results = _parallel_map(dom_case, list(enumerate(fams)))
-    cases = [structure_case]
-    worst = 0.0
-    for i, (viol, frac, inserted, _) in enumerate(results):
         worst = max(worst, viol)
+        holder_ok = holder_ok and h_gap <= tol
+        if len(ref) > len(seq):
+            refined.append((h_gap, h_ratio))
         cases.append(
             CaseResult(
                 f"fn{i:03d}", viol, slack, viol / slack if slack else viol,
-                {"violating_fraction": frac, "inserted_scales": inserted},
+                {"violating_fraction": frac, "inserted_scales": len(ref) - len(seq)},
             )
         )
     dom_ok = all(
         c.lhs <= slack for c in cases[1:]
     )
-    refined = [(gap, ratio) for _, _, inserted, (gap, ratio, _) in results if inserted]
     checks = [
         Check(
             "refined_structure",
@@ -819,7 +815,7 @@ def _run_refine_domination(sc, th):
         ),
         Check(
             "holder_domination",
-            all(ok for *_, (_, _, ok) in results),
+            holder_ok,
             {
                 "max_gap": max((gap for gap, _ in refined), default=0.0),
                 "max_ratio": max((ratio for _, ratio in refined), default=0.0),

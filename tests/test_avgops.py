@@ -24,7 +24,7 @@ from lacvar import (
     vector_variation,
 )
 from lacvar import avgops
-from lacvar.avgops import _fold_power, l1_norm
+from lacvar.avgops import _fold_power, l1_norm, vector_variations
 
 
 def _spec(**kw):
@@ -353,10 +353,9 @@ def test_streamed_variation_matches_stack_route_exactly(seed, s, chunk, npts):
 
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1.5, 2.0, 3.0]),
     st.integers(min_value=1, max_value=7),
 )
-def test_vector_variation_matches_stacked_route_exactly(seed, rho, chunk):
+def test_vector_variation_matches_stacked_route_exactly(seed, chunk):
     rng = np.random.default_rng(seed)
     fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8))
           for _ in range(int(rng.integers(1, 6)))]
@@ -364,10 +363,32 @@ def test_vector_variation_matches_stacked_route_exactly(seed, rho, chunk):
     spec = _spec(s=2.5, k_max=5)
     grid = UniformGrid(-1.0, float(rng.uniform(0.05, 0.5)), int(rng.integers(1, 60)))
     parts = np.stack([oracle_variation_at(g, seq, spec, grid.midpoints) for g in fs])
-    want = _old_compensated_power_sum(parts, rho) ** (1.0 / rho)
+    rhos = (1.5, 2.0, 3.0)
     with mock.patch.object(avgops, "_CHUNK", chunk):
-        got = vector_variation(fs, seq, spec, rho, grid)
-    assert got.values.tobytes() == want.tobytes()
+        together = vector_variations(fs, seq, spec, rhos, grid)
+        alone = [vector_variation(fs, seq, spec, rho, grid) for rho in rhos]
+    for rho, got, one in zip(rhos, together, alone):
+        want = _old_compensated_power_sum(parts, rho) ** (1.0 / rho)
+        assert got.values.tobytes() == want.tobytes() == one.values.tobytes()
+
+
+def test_vector_variations_hold_one_member_array_at_a_time():
+    # 8 members and 3 exponents: the sums take 6 x.nbytes, and the
+    # midpoints, the member in hand, the next one and a result copy about 1
+    # each (10 in all); holding every member's array would add 6 more
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64)) for _ in range(8)]
+    seq = parse_sequence("geometric:0.03125:2:16")
+    grid = UniformGrid(-1.0, 1026.0 / (1 << 17), 1 << 17)
+    for f in fs:
+        f.primitive_at(0.0)  # build the cached edge tables outside the traced call
+    tracemalloc.start()
+    try:
+        vector_variations(fs, seq, _spec(k_max=15), (1.5, 2.0, 3.0), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * grid.n * 8
 
 
 def test_variation_scratch_does_not_grow_with_scales():

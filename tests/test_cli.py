@@ -135,6 +135,14 @@ def test_verify_config_file_and_csv(tmp_path):
     assert open(csv_out).readline().strip() == "case_id,lhs,rhs,ratio"
 
 
+def test_verify_bad_thread_cap_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LACVAR_THREADS", "abc")
+    rc = main(["verify", "--scenario", "weak_11", "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "LACVAR_THREADS" in err and "'abc'" in err
+
+
 def test_verify_scenario_config_mismatch(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "weak_11"}))

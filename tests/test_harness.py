@@ -1,6 +1,7 @@
 import hashlib
 import json
-import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from lacvar import (
     superlevel_measure,
     weak_sup,
 )
+from lacvar import avgops, harness
 from lacvar.harness import _atom_zones
 
 
@@ -94,6 +96,22 @@ def test_scenario_validation_rules():
         from_config({"kind": "strong_pp", "p": 0.5})
     with pytest.raises(ScenarioInvalid):
         from_config({"kind": "strong_pp", "s": 0.5})
+
+
+NEEDS_P = ("strong_pp", "l2_multiplier", "weighted_pp", "vector_valued")
+NEEDS_FAMILY = (
+    "strong_pp", "weak_11", "linf_bmo", "l2_multiplier",
+    "weighted_pp", "weighted_weak11", "vector_valued", "refine_domination",
+)
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(kind, "p") for kind in NEEDS_P] + [(kind, "family") for kind in NEEDS_FAMILY]
+)
+def test_kind_default_without_p_or_family_is_rejected(kind, field):
+    cleared, message = {"p": (None, "needs p"), "family": ({}, "needs a function family")}[field]
+    with pytest.raises(ScenarioInvalid, match=message):
+        replace(default_scenario(kind), **{field: cleared}).validate()
 
 
 def test_thresholds_merge_into_report():
@@ -185,30 +203,66 @@ def test_report_rejects_unknown_format():
         emit_report(rep, "xml")
 
 
-def test_report_bytes_deterministic_across_thread_caps():
-    sc = default_scenario("weak_11")
-    old = os.environ.get("LACVAR_THREADS")
-    try:
-        os.environ["LACVAR_THREADS"] = "1"
-        a = emit_report(run_scenario(sc), "json")
-        os.environ["LACVAR_THREADS"] = "5"
-        b = emit_report(run_scenario(sc), "json")
-    finally:
-        if old is None:
-            os.environ.pop("LACVAR_THREADS", None)
-        else:
-            os.environ["LACVAR_THREADS"] = old
+# weak_11's kernel calls (8,193 points) stay in the loop; strong_pp's
+# (65,600 points, past one kernel chunk) run on the pool at cap 5
+@pytest.mark.parametrize(
+    "config",
+    [{"kind": "weak_11"}, {"kind": "strong_pp", "family": {"count": 4}}],
+    ids=["weak_11", "strong_pp"],
+)
+def test_report_bytes_deterministic_across_thread_caps(config, monkeypatch):
+    sc = from_config(config)
+    monkeypatch.setenv("LACVAR_THREADS", "1")
+    a = emit_report(run_scenario(sc), "json")
+    monkeypatch.setenv("LACVAR_THREADS", "5")
+    b = emit_report(run_scenario(sc), "json")
     assert a == b
+
+
+def test_thread_pool_only_for_calls_of_a_kernel_chunk(monkeypatch):
+    built = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setenv("LACVAR_THREADS", "2")
+    for kind in ("weak_11", "h1_l1", "linf_bmo"):
+        run_scenario(default_scenario(kind))
+    assert built == []
+    run_scenario(from_config({"kind": "strong_pp", "family": {"count": 4}}))
+    assert built == [2]
+
+
+def test_vector_valued_computes_each_variation_once(monkeypatch):
+    calls = []
+    original = avgops.variation_at
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(avgops, "variation_at", counting)
+    monkeypatch.setattr(harness, "variation_at", counting)
+    rep = run_scenario(from_config({"kind": "vector_valued", "family": {"count": 2}}))
+    assert len(rep.cases) == 3  # rho = 1.5, 2, 3
+    # V_s f does not depend on rho: each member once on the base grid and
+    # once on the refined one
+    assert len(calls) == 2 * 2
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
+# the name predates the three variation kinds; it is kept so that the
+# existing test ids stay stable
 @pytest.mark.parametrize("seed", [0, 1, 12])
-@pytest.mark.parametrize("kind", ["linf_bmo", "weighted_weak11"])
+@pytest.mark.parametrize("kind", ["linf_bmo", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued"])
 def test_interval_family_reports_match_benchmark_reference(kind, seed):
-    # the case table prints lhs with 17 digits, so a one-bit move in bmo_norm
-    # or a1_constant changes this digest
+    # the case table prints lhs with 17 digits, so a one-bit move in the
+    # kernel, the rho fold, bmo_norm or a1_constant changes this digest
     ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["seeds"][str(seed)][kind]
     rep = run_scenario(from_config({"kind": kind, "seed": seed}))
     assert hashlib.sha256(emit_report(rep, "csv")).hexdigest() == ref["case_csv_sha256"]
