@@ -201,7 +201,31 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
 
-IntervalFamily = tuple[Interval, ...]
+@dataclass(frozen=True, eq=False)
+class IntervalFamily:
+    """Intervals [lo[i], hi[i]) held as two read-only float64 endpoint arrays."""
+
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        lo = np.array(self.lo, dtype=np.float64)
+        hi = np.array(self.hi, dtype=np.float64)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("lo and hi must be 1-d arrays of one length")
+        if lo.size == 0:
+            raise EmptyFamily("an interval family needs at least one interval")
+        bad = ~(hi > lo)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"empty interval [{float(lo[i])!r}, {float(hi[i])!r})")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __len__(self) -> int:
+        return self.lo.size
 
 
 def make_dyadic_family(
@@ -218,7 +242,8 @@ def make_dyadic_family(
     length down to the first level not below `min_len`.  With `inside_only`
     the family keeps only intervals contained in the padded domain.
     `shifts` adds translated copies of the lattice (as fractions of each
-    interval's own length).
+    interval's own length).  Intervals come level by level, shift by shift,
+    in increasing j.
     """
     lo, hi = domain.lo - margin, domain.hi + margin
     if not min_len > 0.0:
@@ -227,31 +252,21 @@ def make_dyadic_family(
     m_bot = int(np.ceil(np.log2(min_len) - 1e-12))
     if m_top < m_bot:
         raise EmptyFamily("no dyadic level fits between min_len and the domain length")
-    out: list[Interval] = []
+    los, his = [], []
     for m in range(m_top, m_bot - 1, -1):
         ln = 2.0**m
         for frac in shifts:
             off = frac * ln
             j0 = int(np.floor((lo - off) / ln))
             j1 = int(np.ceil((hi - off) / ln))
-            for j in range(j0, j1 + 1):
-                a = j * ln + off
-                b = a + ln
-                if b <= lo or a >= hi:
-                    continue
-                if inside_only and (a < lo or b > hi):
-                    continue
-                out.append(Interval(a, b))
-    if not out:
-        raise EmptyFamily("family came out empty; widen the domain or shrink min_len")
-    return tuple(out)
-
-
-def family_bounds(family: IntervalFamily) -> tuple[np.ndarray, np.ndarray]:
-    """The family's left and right endpoints as two float64 arrays."""
-    lo = np.fromiter((I.lo for I in family), np.float64, len(family))
-    hi = np.fromiter((I.hi for I in family), np.float64, len(family))
-    return lo, hi
+            a = np.arange(j0, j1 + 1) * ln + off
+            b = a + ln
+            keep = (b > lo) & (a < hi)
+            if inside_only:
+                keep &= (a >= lo) & (b <= hi)
+            los.append(a[keep])
+            his.append(b[keep])
+    return IntervalFamily(np.concatenate(los), np.concatenate(his))
 
 
 # Entries per edge matrix in bmo_norm: long intervals on a fine grid are taken
@@ -269,9 +284,7 @@ def bmo_norm(f: GridFunction, family: IntervalFamily) -> float:
     operations of a single interval, and a row sum of a C-ordered matrix
     adds in the same order as the 1-d sum of that row.
     """
-    if not family:
-        raise EmptyFamily("bmo_norm needs at least one interval")
-    lo, hi = family_bounds(family)
+    lo, hi = family.lo, family.hi
     avg = (f.primitive_at(hi) - f.primitive_at(lo)) / (hi - lo)
     # cell edges x0 + i*h with i0 <= i <= i1 are the candidate cuts; the
     # clips only keep far-away endpoints inside int64

@@ -138,6 +138,11 @@ class Scenario:
             raise ScenarioInvalid(f"{self.kind} needs p")
         if self.kind.startswith("weighted") and not self.weight:
             raise ScenarioInvalid(f"{self.kind} needs a weight literal")
+        if self.weight is not None:
+            try:
+                parse_weight(self.weight)
+            except ValueError as exc:
+                raise ScenarioInvalid(str(exc)) from exc
         if self.kind == "vector_valued":
             if not self.rho or any(not r > 1.0 for r in self.rho):
                 raise ScenarioInvalid("vector_valued needs aggregation exponents > 1")
@@ -332,6 +337,15 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
 # ------------------------------------------------------------ shared helpers
 
 
+def _thread_cap() -> int:
+    """LACVAR_THREADS (default: the cores) as a thread count; values below 1 mean 1."""
+    env = os.environ.get("LACVAR_THREADS") or str(os.cpu_count() or 1)
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"LACVAR_THREADS must be an integer, got {env!r}") from None
+
+
 def _refined(items: list, measure, points: int) -> list[tuple]:
     """(measure(item, 1), measure(item, 2)) for each item, in item order.
 
@@ -343,11 +357,7 @@ def _refined(items: list, measure, points: int) -> list[tuple]:
     def both(item):
         return measure(item, 1), measure(item, 2)
 
-    env = os.environ.get("LACVAR_THREADS") or str(os.cpu_count() or 1)
-    try:
-        cap = min(max(1, int(env)), len(items))
-    except ValueError:
-        raise ValueError(f"LACVAR_THREADS must be an integer, got {env!r}") from None
+    cap = min(_thread_cap(), len(items))
     if points < _CHUNK or cap <= 1:
         return [both(item) for item in items]
     with ThreadPoolExecutor(max_workers=cap) as ex:
@@ -557,16 +567,10 @@ def _run_weighted_weak11(sc, th):
 def _run_linf_bmo(sc, th):
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
-    # one dyadic family per eval grid, shared by the members that sit on it;
-    # threads racing on a key store equal tuples, so no lock is needed
-    families: dict[tuple, tuple] = {}
 
     def bmo_of(v: GridFunction) -> float:
-        key = (v.x0, v.h, v.n)
-        if key not in families:
-            domain = Interval(v.x0, v.x1)
-            families[key] = make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False)
-        return bmo_norm(v, families[key])
+        domain = Interval(v.x0, v.x1)
+        return bmo_norm(v, make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False))
 
     cases = _family_cases(sc, seq, spec, _materialize_family(sc), bmo_of, sup_norm)
     stab = _stability(cases, th["stability_bmo"])
@@ -982,6 +986,7 @@ _RUNNERS = {
 
 def run_scenario(sc: Scenario) -> VerificationReport:
     sc.validate()
+    _thread_cap()  # a malformed LACVAR_THREADS fails every kind alike
     th = {**DEFAULT_THRESHOLDS, **sc.thresholds}
     t0 = time.perf_counter()
     out = _RUNNERS[sc.kind](sc, th)

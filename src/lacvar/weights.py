@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import (
-    EmptyFamily,
-    GridFunction,
-    IntervalFamily,
-    UniformGrid,
-    family_bounds,
-    read_function_csv,
-    require_same_grid,
-)
+from .gridfn import GridFunction, IntervalFamily, UniformGrid
 
 
 class NonPositiveWeight(ValueError):
@@ -55,13 +47,13 @@ def _cell_ranges(fn: GridFunction, lo: np.ndarray, hi: np.ndarray) -> tuple[np.n
 
 def _inside_bounds(fn: GridFunction, family: IntervalFamily) -> tuple[np.ndarray, np.ndarray]:
     """The family's endpoints, after checking that every interval lies in fn's domain."""
-    lo, hi = family_bounds(family)
+    lo, hi = family.lo, family.hi
     slack = 1e-9 * fn.h
     outside = (lo < fn.x0 - slack) | (hi > fn.x1 + slack)
     if outside.any():
-        I = family[int(np.argmax(outside))]
+        i = int(np.argmax(outside))
         raise ValueError(
-            f"interval ({I.lo!r}, {I.hi!r}) leaves the weight's domain "
+            f"interval ({float(lo[i])!r}, {float(hi[i])!r}) leaves the weight's domain "
             f"[{fn.x0!r}, {fn.x1!r}]; averages would see the zero extension"
         )
     return lo, hi
@@ -79,8 +71,6 @@ def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:
     """
     if not p > 1.0:
         raise ValueError(f"need p > 1, got {p!r}")
-    if not family:
-        raise EmptyFamily("ap_constant needs at least one interval")
     lo, hi = _inside_bounds(w.fn, family)
     dual = GridFunction(w.fn.x0, w.fn.h, w.fn.values ** (-1.0 / (p - 1.0)))
     prod = _averages(w.fn, lo, hi) * _averages(dual, lo, hi) ** (p - 1.0)
@@ -89,15 +79,13 @@ def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:
 
 def a1_constant(w: Weight, family: IntervalFamily) -> float:
     """max over the family of (avg_I w) / (min of w on cells meeting I)."""
-    if not family:
-        raise EmptyFamily("a1_constant needs at least one interval")
     lo, hi = _inside_bounds(w.fn, family)
     i0, i1 = _cell_ranges(w.fn, lo, hi)
     i0, i1 = np.maximum(i0, 0), np.minimum(i1, w.fn.n - 1)
     empty = i1 < i0
     if empty.any():
-        I = family[int(np.argmax(empty))]
-        raise ValueError(f"interval ({I.lo!r}, {I.hi!r}) covers no grid cell")
+        i = int(np.argmax(empty))
+        raise ValueError(f"interval ({float(lo[i])!r}, {float(hi[i])!r}) covers no grid cell")
     # min over values[i0:i1+1] for each interval: reduceat over the
     # interleaved starts and stops, keeping the even segments; the padded
     # slot makes a stop at n a valid index
@@ -132,32 +120,25 @@ def constant_weight(c: float, grid: UniformGrid) -> Weight:
 class WeightSpec:
     """Deferred weight: a recipe that can be sampled on any working grid.
 
-    Literals: "constant:<c>", "power:<alpha>", or a CSV path (which fixes
-    its own grid; sampling then requires the same grid).
+    Literals: "constant:<c>" or "power:<alpha>".
     """
 
     kind: str
-    param: float | str
+    param: float
 
     def sample(self, grid: UniformGrid) -> Weight:
         if self.kind == "constant":
-            return constant_weight(float(self.param), grid)
-        if self.kind == "power":
-            return power_weight(float(self.param), grid)
-        fn = read_function_csv(str(self.param))
-        require_same_grid(fn, GridFunction(grid.x0, grid.h, np.zeros(grid.n) + 1.0))
-        return Weight(fn, f"csv:{self.param}")
+            return constant_weight(self.param, grid)
+        return power_weight(self.param, grid)
 
     @property
     def label(self) -> str:
-        if self.kind in ("constant", "power"):
-            return f"{self.kind}:{float(self.param):g}"
-        return f"csv:{self.param}"
+        return f"{self.kind}:{self.param:g}"
 
 
 def parse_weight(literal: str) -> WeightSpec:
-    if literal.startswith("constant:"):
-        return WeightSpec("constant", float(literal.split(":", 1)[1]))
-    if literal.startswith("power:"):
-        return WeightSpec("power", float(literal.split(":", 1)[1]))
-    return WeightSpec("csv", literal)
+    """The WeightSpec of a literal; ValueError for any other form or a non-number."""
+    kind, _, param = str(literal).partition(":")
+    if kind not in ("constant", "power"):
+        raise ValueError(f"bad weight literal {literal!r}; expected constant:<c> or power:<alpha>")
+    return WeightSpec(kind, float(param))

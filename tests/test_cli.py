@@ -135,9 +135,11 @@ def test_verify_config_file_and_csv(tmp_path):
     assert open(csv_out).readline().strip() == "case_id,lhs,rhs,ratio"
 
 
-def test_verify_bad_thread_cap_names_the_variable(tmp_path, capsys, monkeypatch):
+# dr_condition measures no refined cases, so only run_scenario reads the cap
+@pytest.mark.parametrize("kind", ["weak_11", "dr_condition"])
+def test_verify_bad_thread_cap_names_the_variable(kind, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LACVAR_THREADS", "abc")
-    rc = main(["verify", "--scenario", "weak_11", "--out", str(tmp_path / "rep.json")])
+    rc = main(["verify", "--scenario", kind, "--out", str(tmp_path / "rep.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "LACVAR_THREADS" in err and "'abc'" in err

@@ -13,6 +13,7 @@ from lacvar import (
     GridFunction,
     GridMismatch,
     Interval,
+    IntervalFamily,
     IntervalTooSmall,
     UniformGrid,
     bmo_norm,
@@ -123,26 +124,103 @@ def test_lp_triangle_and_homogeneity(a, b, p):
 
 def test_dyadic_family_counts_on_unit_pair():
     fam = make_dyadic_family(Interval(0.0, 2.0), 0.5)
-    lens = sorted(i.length for i in fam)
+    lens = sorted((fam.hi - fam.lo).tolist())
     assert lens == [0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0]
-    assert all(i.lo >= 0.0 and i.hi <= 2.0 for i in fam)
+    assert fam.lo.min() >= 0.0 and fam.hi.max() <= 2.0
 
 
 def test_dyadic_family_shifts_add_intervals():
     plain = make_dyadic_family(Interval(0.0, 2.0), 0.5)
     shifted = make_dyadic_family(Interval(0.0, 2.0), 0.5, shifts=(0.0, 0.5))
     assert len(shifted) > len(plain)
-    assert set(plain).issubset(set(shifted))
+    assert set(zip(plain.lo, plain.hi)).issubset(set(zip(shifted.lo, shifted.hi)))
 
 
 def test_dyadic_family_margin_and_outside():
     fam = make_dyadic_family(Interval(0.0, 1.0), 1.0, margin=1.0, inside_only=False)
-    assert any(i.lo < 0.0 for i in fam)
+    assert np.any(fam.lo < 0.0)
 
 
 def test_dyadic_family_empty_raises():
     with pytest.raises(EmptyFamily):
         make_dyadic_family(Interval(0.0, 1.0), 4.0)
+
+
+def oracle_dyadic_family(domain, min_len, *, margin=0.0, shifts=(0.0,), inside_only=True):
+    """One Interval per member in a triple loop: the build make_dyadic_family replaced."""
+    lo, hi = domain.lo - margin, domain.hi + margin
+    if not min_len > 0.0:
+        raise ValueError("min_len must be positive")
+    m_top = int(np.floor(np.log2(hi - lo) + 1e-12))
+    m_bot = int(np.ceil(np.log2(min_len) - 1e-12))
+    if m_top < m_bot:
+        raise EmptyFamily("no dyadic level fits between min_len and the domain length")
+    out = []
+    for m in range(m_top, m_bot - 1, -1):
+        ln = 2.0**m
+        for frac in shifts:
+            off = frac * ln
+            j0 = int(np.floor((lo - off) / ln))
+            j1 = int(np.ceil((hi - off) / ln))
+            for j in range(j0, j1 + 1):
+                a = j * ln + off
+                b = a + ln
+                if b <= lo or a >= hi:
+                    continue
+                if inside_only and (a < lo or b > hi):
+                    continue
+                out.append(Interval(a, b))
+    if not out:
+        raise EmptyFamily("family came out empty; widen the domain or shrink min_len")
+    return IntervalFamily([I.lo for I in out], [I.hi for I in out])
+
+
+def _endpoints_or_error(build, *args, **kwargs):
+    try:
+        fam = build(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+    return fam.lo.tobytes(), fam.hi.tobytes()
+
+
+@given(
+    x0=st.floats(-5.0, 5.0),
+    length=st.floats(0.01, 10.0),
+    levels=st.integers(-2, 7),
+    margin=st.sampled_from([0.0, 0.5, 1.0]),
+    shifts=st.sampled_from([(0.0,), (0.0, 0.5), (0.0, 1.0 / 3.0, 0.25)]),
+    inside_only=st.booleans(),
+)
+def test_dyadic_family_matches_loop_oracle_exactly(x0, length, levels, margin, shifts, inside_only):
+    # margin is 0, L/2 or L; min_len sits `levels` halvings below the
+    # domain length, so low or negative counts leave no dyadic level to build
+    domain = Interval(x0, x0 + length)
+    kwargs = dict(margin=margin * length, shifts=shifts, inside_only=inside_only)
+    min_len = length / 2.0**levels
+    want = _endpoints_or_error(oracle_dyadic_family, domain, min_len, **kwargs)
+    assert _endpoints_or_error(make_dyadic_family, domain, min_len, **kwargs) == want
+
+
+def test_interval_family_checks_its_arrays():
+    with pytest.raises(EmptyFamily):
+        IntervalFamily([], [])
+    with pytest.raises(ValueError, match="one length"):
+        IntervalFamily([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="1-d"):
+        IntervalFamily([[0.0]], [[1.0]])
+    with pytest.raises(ValueError, match=r"empty interval \[2.0, 2.0\)"):
+        IntervalFamily([0.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"empty interval \[3.0, 1.0\)"):
+        IntervalFamily([0.0, 3.0], [1.0, 1.0])
+    lo = np.array([0.0, 1.0])
+    fam = IntervalFamily(lo, [1.0, 2.0])
+    assert len(fam) == 2
+    lo[0] = 0.5  # the family keeps its own copy
+    assert fam.lo[0] == 0.0
+    for arr in (fam.lo, fam.hi):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
 
 
 @given(
@@ -176,19 +254,19 @@ def oracle_bmo_norm(f: GridFunction, family) -> float:
     It repeats the float operations of the array version one interval at a
     time, so the two must agree bit for bit.
     """
-    s_hi = f.primitive_at([I.hi for I in family])
-    s_lo = f.primitive_at([I.lo for I in family])
+    s_hi = f.primitive_at(family.hi)
+    s_lo = f.primitive_at(family.lo)
     best = 0.0
-    for I, a, b in zip(family, s_lo, s_hi):
-        avg = (b - a) / I.length
-        i0 = max(int(np.ceil((I.lo - f.x0) / f.h)), 0)
-        i1 = min(int(np.floor((I.hi - f.x0) / f.h)), f.n)
+    for lo, hi, a, b in zip(family.lo, family.hi, s_lo, s_hi):
+        avg = (b - a) / (hi - lo)
+        i0 = max(int(np.ceil((lo - f.x0) / f.h)), 0)
+        i1 = min(int(np.floor((hi - f.x0) / f.h)), f.n)
         inner = f.x0 + f.h * np.arange(i0, i1 + 1)
-        inner = inner[(inner > I.lo) & (inner < I.hi)]
-        cuts = np.concatenate([[I.lo], inner, [I.hi]])
+        inner = inner[(inner > lo) & (inner < hi)]
+        cuts = np.concatenate([[lo], inner, [hi]])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         lens = np.diff(cuts)
-        osc = float(np.sum(np.abs(f(mids) - avg) * lens)) / I.length
+        osc = float(np.sum(np.abs(f(mids) - avg) * lens)) / (hi - lo)
         best = max(best, osc)
     return best
 
@@ -201,12 +279,13 @@ def _mixed_family(f: GridFunction, rng, margin: float, shift: float, depth: int)
         shifts=(0.0, shift), inside_only=False,
     )
     ends = np.sort(rng.uniform(f.x0 - L, f.x1 + L, size=(12, 2)), axis=1)
-    cutting = tuple(Interval(a, b) for a, b in ends if b > a)
+    cutting = ends[ends[:, 1] > ends[:, 0]]
     gap, width = rng.uniform(0.01, 2.0, size=2) * L
-    outside = (Interval(f.x1 + gap, f.x1 + gap + width), Interval(f.x0 - gap - width, f.x0 - gap))
     cells = rng.integers(0, f.n, size=3)
-    one_cell = tuple(Interval(f.x0 + f.h * i, f.x0 + f.h * (i + 1)) for i in cells)
-    return fam + cutting + outside + one_cell
+    return IntervalFamily(
+        np.concatenate([fam.lo, cutting[:, 0], [f.x1 + gap, f.x0 - gap - width], f.x0 + f.h * cells]),
+        np.concatenate([fam.hi, cutting[:, 1], [f.x1 + gap + width, f.x0 - gap], f.x0 + f.h * (cells + 1)]),
+    )
 
 
 @given(
@@ -223,8 +302,9 @@ def test_bmo_norm_matches_oracle_exactly(cells, seed, x0, h, margin, shift, dept
     f = GridFunction(x0, h, rng.uniform(-1.0, 1.0, size=cells))
     fam = _mixed_family(f, rng, margin, shift, depth)
     assert bmo_norm(f, fam) == oracle_bmo_norm(f, fam)
-    for I in fam[::7]:
-        assert bmo_norm(f, (I,)) == oracle_bmo_norm(f, (I,))
+    for lo, hi in zip(fam.lo[::7], fam.hi[::7]):
+        one = IntervalFamily([lo], [hi])
+        assert bmo_norm(f, one) == oracle_bmo_norm(f, one)
 
 
 def test_bmo_norm_blocks_long_intervals(monkeypatch):
@@ -234,27 +314,30 @@ def test_bmo_norm_blocks_long_intervals(monkeypatch):
     rng = np.random.default_rng(5)
     f = GridFunction(-0.3, 1.0 / 96, rng.uniform(-1.0, 1.0, size=96))
     fam = _mixed_family(f, rng, 1.0, 0.5, 6)
-    want = np.maximum.accumulate([oracle_bmo_norm(f, (I,)) for I in fam])
+    want = np.maximum.accumulate(
+        [oracle_bmo_norm(f, IntervalFamily([lo], [hi])) for lo, hi in zip(fam.lo, fam.hi)]
+    )
     monkeypatch.setattr(gridfn, "_BMO_BLOCK", 5)
-    assert [bmo_norm(f, fam[: j + 1]) for j in range(len(fam))] == want.tolist()
+    got = [bmo_norm(f, IntervalFamily(fam.lo[: j + 1], fam.hi[: j + 1])) for j in range(len(fam))]
+    assert got == want.tolist()
 
 
 def test_bmo_hand_value():
     f = GridFunction(0.0, 0.5, [1.0, 1.0, -1.0, -1.0])
-    assert bmo_norm(f, (Interval(0.0, 2.0),)) == pytest.approx(1.0)
+    assert bmo_norm(f, IntervalFamily([0.0], [2.0])) == pytest.approx(1.0)
     # single-sign interval has no oscillation
-    assert bmo_norm(f, (Interval(0.0, 1.0),)) == 0.0
+    assert bmo_norm(f, IntervalFamily([0.0], [1.0])) == 0.0
 
 
 def test_bmo_partial_cell_fragments():
     f = GridFunction(0.0, 1.0, [0.0, 2.0])
     # over (0.5, 1.5): avg = 1, |f - 1| = 1 throughout, osc = 1
-    assert bmo_norm(f, (Interval(0.5, 1.5),)) == pytest.approx(1.0)
+    assert bmo_norm(f, IntervalFamily([0.5], [1.5])) == pytest.approx(1.0)
 
 
 def test_bmo_empty_family_raises():
     with pytest.raises(EmptyFamily):
-        bmo_norm(GridFunction(0.0, 1.0, [1.0]), ())
+        bmo_norm(GridFunction(0.0, 1.0, [1.0]), IntervalFamily([], []))
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=50), st.integers(0, 5))

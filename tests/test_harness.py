@@ -63,6 +63,10 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "strong_pp", "options": {"eval_hh": 0.1}}, "eval_hh"),
         ({"kind": "l2_multiplier", "options": {"eval_h": 0.1}}, "eval_h"),
         ({"kind": "weighted_pp", "options": {"dual_r": 3.0}}, "dual_r"),
+        # weight literals: a typo, a file path and a bare JSON number
+        ({"kind": "weighted_pp", "weight": "powr:0.5"}, "powr:0.5"),
+        ({"kind": "weighted_weak11", "weight": "w.csv"}, "w.csv"),
+        ({"kind": "weighted_pp", "weight": 0.5}, "0.5"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -259,13 +263,18 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 # the name predates the three variation kinds; it is kept so that the
 # existing test ids stay stable
 @pytest.mark.parametrize("seed", [0, 1, 12])
-@pytest.mark.parametrize("kind", ["linf_bmo", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued"])
+@pytest.mark.parametrize(
+    "kind", ["linf_bmo", "weighted_pp", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued"]
+)
 def test_interval_family_reports_match_benchmark_reference(kind, seed):
     # the case table prints lhs with 17 digits, so a one-bit move in the
-    # kernel, the rho fold, bmo_norm or a1_constant changes this digest
+    # kernel, the rho fold or bmo_norm changes this digest
     ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["seeds"][str(seed)][kind]
     rep = run_scenario(from_config({"kind": kind, "seed": seed}))
     assert hashlib.sha256(emit_report(rep, "csv")).hexdigest() == ref["case_csv_sha256"]
+    if kind in ("linf_bmo", "weighted_pp", "weighted_weak11"):
+        # ap_estimate and a1_estimate appear only in the JSON report
+        assert hashlib.sha256(emit_report(rep, "json")).hexdigest() == ref["report_sha256"]
     verdicts = {c.name: bool(c.passed) for c in rep.checks}
     assert {name: verdicts.get(name) for name in ref["verdicts"]} == ref["verdicts"]
 

@@ -6,6 +6,7 @@ from lacvar import (
     EmptyFamily,
     GridFunction,
     Interval,
+    IntervalFamily,
     NonPositiveWeight,
     UniformGrid,
     Weight,
@@ -15,7 +16,6 @@ from lacvar import (
     make_dyadic_family,
     parse_weight,
     power_weight,
-    write_function_csv,
 )
 
 
@@ -33,14 +33,13 @@ def test_weight_rejects_nonpositive_samples():
 def test_ap_hand_value():
     w = _weight([1.0, 4.0])
     # over (0,2): avg w = 2.5, avg w^-1 = 0.625, product 1.5625
-    assert ap_constant(w, 2.0, (Interval(0.0, 2.0),)) == pytest.approx(1.5625)
+    assert ap_constant(w, 2.0, IntervalFamily([0.0], [2.0])) == pytest.approx(1.5625)
 
 
 def test_ap_partial_cells_are_exact():
     w = _weight([1.0, 4.0])
-    I = Interval(0.5, 1.5)
-    # avg w = (0.5 + 2.0) / 1 = 2.5; avg w^-1 = (0.5 + 0.125) / 1 = 0.625
-    assert ap_constant(w, 2.0, (I,)) == pytest.approx(1.5625)
+    # over (0.5, 1.5): avg w = (0.5 + 2.0) / 1 = 2.5; avg w^-1 = (0.5 + 0.125) / 1 = 0.625
+    assert ap_constant(w, 2.0, IntervalFamily([0.5], [1.5])) == pytest.approx(1.5625)
 
 
 def test_ap_constant_weight_is_one():
@@ -52,7 +51,7 @@ def test_ap_constant_weight_is_one():
 
 def test_a1_hand_value():
     w = _weight([2.0, 1.0, 4.0, 8.0], h=0.5)
-    fam = (Interval(0.0, 1.0), Interval(0.0, 2.0))
+    fam = IntervalFamily([0.0, 0.0], [1.0, 2.0])
     # (0,1): avg 1.5 over min 1 -> 1.5; (0,2): avg 3.75 over min 1 -> 3.75
     assert a1_constant(w, fam) == pytest.approx(3.75)
 
@@ -60,15 +59,15 @@ def test_a1_hand_value():
 def test_ap_requires_family_inside_domain():
     w = _weight([1.0, 2.0])
     with pytest.raises(ValueError, match=r"interval \(-1.0, 1.0\) leaves"):
-        ap_constant(w, 2.0, (Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, 3.0)))
+        ap_constant(w, 2.0, IntervalFamily([0.0, -1.0, 0.0], [1.0, 1.0, 3.0]))
     with pytest.raises(EmptyFamily):
-        ap_constant(w, 2.0, ())
+        ap_constant(w, 2.0, IntervalFamily([], []))
 
 
 def test_ap_needs_p_above_one():
     w = _weight([1.0, 2.0])
     with pytest.raises(ValueError):
-        ap_constant(w, 1.0, (Interval(0.0, 2.0),))
+        ap_constant(w, 1.0, IntervalFamily([0.0], [2.0]))
 
 
 @given(
@@ -77,7 +76,7 @@ def test_ap_needs_p_above_one():
 )
 def test_ap_at_least_one(vals, p):
     w = _weight(vals, h=1.0 / len(vals))
-    fam = (Interval(0.0, 1.0), Interval(0.0, 0.5))
+    fam = IntervalFamily([0.0, 0.0], [1.0, 0.5])
     assert ap_constant(w, p, fam) >= 1.0 - 1e-10
 
 
@@ -90,7 +89,7 @@ def test_ap_monotone_in_p(vals, p, dp):
     # the dual factor is a decreasing function of p, so A_{p+dp} <= A_p
     # interval by interval; with a single interval the sup inherits it
     w = _weight(vals, h=1.0 / len(vals))
-    fam = (Interval(0.0, 1.0),)
+    fam = IntervalFamily([0.0], [1.0])
     assert ap_constant(w, p + dp, fam) <= ap_constant(w, p, fam) * (1.0 + 1e-10)
 
 
@@ -98,7 +97,7 @@ def test_ap_monotone_in_p(vals, p, dp):
 def test_ap_monotone_in_family(vals):
     w = _weight(vals, h=1.0 / len(vals))
     small = make_dyadic_family(Interval(0.0, 1.0), 0.5)
-    big = small + (Interval(0.0, 0.25), Interval(0.25, 0.75))
+    big = IntervalFamily(np.append(small.lo, [0.0, 0.25]), np.append(small.hi, [0.25, 0.75]))
     assert ap_constant(w, 2.0, big) >= ap_constant(w, 2.0, small)
 
 
@@ -106,24 +105,24 @@ def oracle_a1_constant(w: Weight, family) -> float:
     """Interval-by-interval A_1 estimate: the loop a1_constant replaced."""
     fn = w.fn
     slack = 1e-9 * fn.h
-    for I in family:
-        if I.lo < fn.x0 - slack or I.hi > fn.x1 + slack:
+    for lo, hi in zip(family.lo, family.hi):
+        if lo < fn.x0 - slack or hi > fn.x1 + slack:
             raise ValueError(
-                f"interval ({I.lo!r}, {I.hi!r}) leaves the weight's domain "
+                f"interval ({float(lo)!r}, {float(hi)!r}) leaves the weight's domain "
                 f"[{fn.x0!r}, {fn.x1!r}]; averages would see the zero extension"
             )
     best = 0.0
-    for I in family:
-        avg = fn.integral(I.lo, I.hi) / I.length
-        i0 = int(np.floor((I.lo - fn.x0) / fn.h))
-        if fn.x0 + (i0 + 1) * fn.h <= I.lo:
+    for lo, hi in zip(family.lo, family.hi):
+        avg = fn.integral(lo, hi) / (hi - lo)
+        i0 = int(np.floor((lo - fn.x0) / fn.h))
+        if fn.x0 + (i0 + 1) * fn.h <= lo:
             i0 += 1
-        i1 = int(np.ceil((I.hi - fn.x0) / fn.h)) - 1
-        if fn.x0 + i1 * fn.h >= I.hi:
+        i1 = int(np.ceil((hi - fn.x0) / fn.h)) - 1
+        if fn.x0 + i1 * fn.h >= hi:
             i1 -= 1
         i0, i1 = max(i0, 0), min(i1, fn.n - 1)
         if i1 < i0:
-            raise ValueError(f"interval ({I.lo!r}, {I.hi!r}) covers no grid cell")
+            raise ValueError(f"interval ({float(lo)!r}, {float(hi)!r}) covers no grid cell")
         best = max(best, avg / float(np.min(fn.values[i0 : i1 + 1])))
     return best
 
@@ -147,25 +146,27 @@ def test_a1_matches_oracle_exactly(cells, seed, x0, h, shift, stray):
     rng = np.random.default_rng(seed)
     w = _weight(rng.uniform(0.05, 20.0, size=cells), x0=x0, h=h)
     fn = w.fn
-    fam = make_dyadic_family(Interval(fn.x0, fn.x1), (fn.x1 - fn.x0) / 64, shifts=(0.0, shift))
+    dyadic = make_dyadic_family(Interval(fn.x0, fn.x1), (fn.x1 - fn.x0) / 64, shifts=(0.0, shift))
     ends = np.sort(rng.uniform(fn.x0, fn.x1, size=(10, 2)), axis=1)
-    fam += tuple(Interval(a, b) for a, b in ends if b > a)
-    fam += tuple(Interval(fn.x0 + fn.h * i, fn.x0 + fn.h * (i + 1)) for i in rng.integers(0, cells, 3))
+    ends = ends[ends[:, 1] > ends[:, 0]]
+    i = rng.integers(0, cells, 3)
+    lo = np.concatenate([dyadic.lo, ends[:, 0], fn.x0 + fn.h * i])
+    hi = np.concatenate([dyadic.hi, ends[:, 1], fn.x0 + fn.h * (i + 1)])
     # a stray interval mid-family: the first offender must be named, as before
-    extra = {
-        "none": (),
-        "outside": (Interval(fn.x1 - 0.5 * fn.h, fn.x1 + fn.h), Interval(fn.x0 - fn.h, fn.x0)),
-        "sliver": (Interval(fn.x1, fn.x1 + 1e-10 * fn.h),),  # inside the slack, on no cell
+    extra_lo, extra_hi = {
+        "none": ([], []),
+        "outside": ([fn.x1 - 0.5 * fn.h, fn.x0 - fn.h], [fn.x1 + fn.h, fn.x0]),
+        "sliver": ([fn.x1], [fn.x1 + 1e-10 * fn.h]),  # inside the slack, on no cell
     }[stray]
-    k = int(rng.integers(0, len(fam) + 1))
-    fam = fam[:k] + extra + fam[k:]
+    k = int(rng.integers(0, lo.size + 1))
+    fam = IntervalFamily(np.insert(lo, k, extra_lo), np.insert(hi, k, extra_hi))
     assert _outcome(a1_constant, w, fam) == _outcome(oracle_a1_constant, w, fam)
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=32))
 def test_a1_at_least_one(vals):
     w = _weight(vals, h=1.0 / len(vals))
-    assert a1_constant(w, (Interval(0.0, 1.0),)) >= 1.0 - 1e-12
+    assert a1_constant(w, IntervalFamily([0.0], [1.0])) >= 1.0 - 1e-12
 
 
 # ------------------------------------------------------------ constructions
@@ -206,19 +207,3 @@ def test_parse_weight_literals():
     w2 = parse_weight("power:0.5").sample(UniformGrid(1.0, 0.5, 4))
     assert w2.label == "power:0.5"
     assert parse_weight("power:-0.25").label == "power:-0.25"
-
-
-def test_parse_weight_csv_round_trip(tmp_path):
-    g = UniformGrid(0.0, 0.5, 4)
-    path = str(tmp_path / "w.csv")
-    write_function_csv(GridFunction(g.x0, g.h, [1.0, 2.0, 3.0, 4.0]), path)
-    spec = parse_weight(path)
-    w = spec.sample(g)
-    assert w.fn.values.tolist() == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_parse_weight_csv_grid_must_match(tmp_path):
-    path = str(tmp_path / "w.csv")
-    write_function_csv(GridFunction(0.0, 0.5, [1.0, 2.0]), path)
-    with pytest.raises(Exception):
-        parse_weight(path).sample(UniformGrid(0.0, 0.25, 4))
