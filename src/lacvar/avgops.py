@@ -6,7 +6,10 @@ fast path reads two values off the antiderivative, the oracle sums cell
 overlaps directly.  The variation runs over a lacunary family of windows and
 takes the ell^s norm of consecutive differences, folding one scale at a time
 into a compensated sum; `scale_stack_at` keeps every level instead and is
-the reference route the tests hold the fold to.
+the reference route the tests hold the fold to.  At each scale the fold
+interpolates only where the window's left end lies in the support: left of
+it the level is a plain quotient, and right of it the level and every
+difference up to that scale are zero, so those points are skipped.
 """
 
 from __future__ import annotations
@@ -210,35 +213,80 @@ def _tail_gate(tail: float, sup_val: float, spec: VariationSpec, seq: LacunarySe
     raise TailTooLarge(tail, tol, k_needed)
 
 
+def _zone_edges(f: GridFunction, scales: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per scale n, thresholds t_L < t_R on a point x: fl(x - n) < f.x0 when
+    x < t_L, and fl(x - n) >= f.x1 when x >= t_R.
+
+    Each threshold is fl(e + n) moved away by 4 ulps of e + n and of e,
+    more than the rounding of fl(e + n), fl(x - n) and the move itself can
+    take back, so the zones they give are never too wide.  When e + n
+    overflows, the threshold comes out NaN and becomes -inf or +inf: no
+    point is put in that zone.
+    """
+    n = np.asarray(scales)
+    with np.errstate(over="ignore"):
+        c0, c1 = f.x0 + n, f.x1 + n
+        pad0 = 4.0 * (np.spacing(np.abs(c0)) + np.spacing(abs(f.x0)))
+        pad1 = 4.0 * (np.spacing(np.abs(c1)) + np.spacing(abs(f.x1)))
+        return np.fmax(c0 - pad0, -np.inf), np.fmin(c1 + pad1, np.inf)
+
+
 def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
     """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s).
 
     The points are taken in chunks of _CHUNK and each scale is folded into
     the running sum as soon as its level is known, so the scratch memory is
     O(_CHUNK) whatever the number of scales; only the result is O(len(x)).
+
+    At scale n a chunk falls into three zones, found on v = fl(x - n):
+    L, a prefix with v < f.x0, where the lower primitive is 0 and the level
+    is upper / n; M, where primitive_at interpolates; R, a suffix with
+    v >= f.x1, where the level is 0 at this scale and every smaller one, so
+    the difference and the fold are skipped there.  The prefix and suffix
+    come from the chunk's running max from the left and running min from
+    the right, so they hold for any point order; on ascending points they
+    are tight and M is about the points whose window cuts the support.
+    Any point left in M gets the same value from the interpolation, so the
+    result is the same bits for every split.
     """
     spec.check_seq(seq)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     scales = seq.scales[: spec.k_max + 1]
+    below, above = _zone_edges(f, scales)
     vals = np.empty(x.size, dtype=np.float64)
     for lo in range(0, x.size, _CHUNK):
         xc = x[lo : lo + _CHUNK]
+        # L ends at the first point whose running max reaches t_L, R starts
+        # after the last point whose running min from the right is below
+        # t_R; NaN propagates through both runs, so a NaN point is in M
+        ends_l = np.searchsorted(np.maximum.accumulate(xc), below).tolist()
+        in_r = np.searchsorted(np.maximum.accumulate(-xc[::-1]), -above, side="right")
+        starts_r = (xc.size - in_r).tolist()
         upper = f.primitive_at(xc)
         shifted = np.empty_like(xc)
+        level = np.zeros_like(xc)
+        prev = np.zeros_like(xc)
         acc = np.zeros_like(xc)
         comp = np.zeros_like(xc)
         big = np.empty_like(xc)
-        prev = None
-        for n in scales:
-            np.subtract(xc, n, out=shifted)
-            level = f.primitive_at(shifted)
-            np.subtract(upper, level, out=level)
-            level /= n
-            if prev is not None:
-                np.subtract(level, prev, out=prev)
-                np.abs(prev, out=prev)
-                _fold_power(acc, comp, prev, spec.s, big)
-            prev = level
+        for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
+            if a:
+                # (upper - 0.0) / n is upper / n bit for bit
+                np.divide(upper[:a], n, out=level[:a])
+            if a < b:
+                lower = f.primitive_at(np.subtract(xc[a:b], n, out=shifted[a:b]))
+                np.subtract(upper[a:b], lower, out=lower)
+                np.divide(lower, n, out=level[a:b])
+            if k and b:
+                # a point past b is in R here and at every smaller scale:
+                # whatever the buffers took there came out +0.0, its term
+                # would be |0 - 0|**s = 0, and folding a zero leaves acc and
+                # comp bit-unchanged
+                diff = prev[:b]
+                np.subtract(level[:b], diff, out=diff)
+                np.abs(diff, out=diff)
+                _fold_power(acc[:b], comp[:b], diff, spec.s, big[:b])
+            level, prev = prev, level
         out = vals[lo : lo + _CHUNK]
         np.add(acc, comp, out=out)
         out **= 1.0 / spec.s

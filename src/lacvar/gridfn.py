@@ -196,10 +196,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True, eq=False)
 class IntervalFamily:

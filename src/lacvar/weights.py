@@ -11,6 +11,7 @@ families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +138,13 @@ class WeightSpec:
 
 
 def parse_weight(literal: str) -> WeightSpec:
-    """The WeightSpec of a literal; ValueError for any other form or a non-number."""
+    """The WeightSpec of a literal; ValueError for any other form, a non-number,
+    a parameter that is not finite, or a constant that is not positive."""
     kind, _, param = str(literal).partition(":")
     if kind not in ("constant", "power"):
         raise ValueError(f"bad weight literal {literal!r}; expected constant:<c> or power:<alpha>")
-    return WeightSpec(kind, float(param))
+    value = float(param)
+    if not math.isfinite(value) or (kind == "constant" and not value > 0.0):
+        need = "finite and positive" if kind == "constant" else "finite"
+        raise ValueError(f"weight literal {literal!r} cannot be sampled; its parameter must be {need}")
+    return WeightSpec(kind, value)

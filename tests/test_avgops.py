@@ -334,21 +334,64 @@ def test_compensated_power_sum_matches_fsum(diffs, s):
     st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.3]),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=40),
+    st.sampled_from(["shuffled", "sorted", "midpoints"]),
 )
-def test_streamed_variation_matches_stack_route_exactly(seed, s, chunk, npts):
+def test_streamed_variation_matches_stack_route_exactly(seed, s, chunk, npts, order):
     rng = np.random.default_rng(seed)
     cells = int(rng.integers(1, 40))
-    f = GridFunction(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.01, 0.5)),
-                     rng.uniform(-1.0, 1.0, size=cells))
+    x0 = float(rng.choice([rng.uniform(-2.0, 2.0), -rng.uniform(1.0, 1e4), 0.0]))
+    f = GridFunction(x0, float(rng.uniform(0.01, 0.5)), rng.uniform(-1.0, 1.0, size=cells))
     seq = parse_sequence(f"geometric:{rng.uniform(0.01, 1.0):.6g}:2:{int(rng.integers(2, 10))}")
     spec = _spec(s=s, k_max=int(rng.integers(1, len(seq))))
-    # unsorted, with points left of the support and past the largest window
-    x = rng.uniform(f.x0 - 3.0, f.x1 + 2.0 * seq.scales[-1], size=npts)
+    if order == "midpoints":
+        x = default_eval_grid(f, seq, spec.k_max, h=f.h * rng.uniform(0.3, 2.0)).midpoints
+    else:
+        # points left of the support and past the largest window; the
+        # window's left end at each zone edge and one ulp either side; NaN
+        # and +-inf
+        edges = np.array([e + n for e in (f.x0, f.x1) for n in seq.scales])
+        x = np.concatenate([
+            rng.uniform(f.x0 - 3.0, f.x1 + 2.0 * seq.scales[-1], size=npts),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [np.nan, np.inf, -np.inf],
+        ])
+        x = np.sort(x) if order == "sorted" else rng.permutation(x)
     want = oracle_variation_at(f, seq, spec, x)
     with mock.patch.object(avgops, "_CHUNK", chunk):
         got = variation_at(f, seq, spec, x)
     assert got.tobytes() == want.tobytes()
     assert variation_at(f, seq, spec, x).tobytes() == want.tobytes()
+    assert variation_at(f, seq, spec, x[:0]).size == 0
+
+
+def test_streamed_variation_with_edges_past_the_float_range():
+    # x1 + n_1 overflows: no point may be put right of the support there
+    f = GridFunction(0.0, 1e307, np.arange(1.0, 9.0) * 1e-3)
+    seq = parse_sequence((1e307, 1.6e308), beta=2.0)
+    spec = _spec(k_max=1)
+    x = np.linspace(0.0, 1.7e308, 50)
+    want = oracle_variation_at(f, seq, spec, x)
+    assert np.count_nonzero(want) == 49
+    assert variation_at(f, seq, spec, x).tobytes() == want.tobytes()
+
+
+def test_variation_interpolates_only_where_windows_cut_the_support(monkeypatch):
+    # strong_pp's shape: of the N points x 16 scales, the lower primitive is
+    # needed only where [x - n_k, x] has its left end in the support
+    rng = np.random.default_rng(0)
+    f = GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64))
+    seq = parse_sequence("geometric:0.03125:2:16")
+    x = default_eval_grid(f, seq, 15).midpoints
+    seen = []
+    primitive_at = GridFunction.primitive_at
+
+    def spy(self, pts):
+        seen.append(np.size(pts))
+        return primitive_at(self, pts)
+
+    monkeypatch.setattr(GridFunction, "primitive_at", spy)
+    variation_at(f, seq, _spec(k_max=15), x)
+    assert sum(seen) < x.size + 2 * f.n * len(seq)
 
 
 @given(

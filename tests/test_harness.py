@@ -67,6 +67,12 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "weighted_pp", "weight": "powr:0.5"}, "powr:0.5"),
         ({"kind": "weighted_weak11", "weight": "w.csv"}, "w.csv"),
         ({"kind": "weighted_pp", "weight": 0.5}, "0.5"),
+        # literals that parse but cannot be sampled
+        ({"kind": "weighted_weak11", "weight": "constant:-1"}, "constant:-1"),
+        ({"kind": "weighted_pp", "weight": "constant:0"}, "constant:0"),
+        ({"kind": "weighted_pp", "weight": "constant:inf"}, "constant:inf"),
+        ({"kind": "weighted_weak11", "weight": "power:nan"}, "power:nan"),
+        ({"kind": "weighted_pp", "weight": "power:inf"}, "power:inf"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -260,11 +266,12 @@ def test_vector_valued_computes_each_variation_once(monkeypatch):
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
-# the name predates the three variation kinds; it is kept so that the
+# the name predates the variation kinds; it is kept so that the
 # existing test ids stay stable
 @pytest.mark.parametrize("seed", [0, 1, 12])
 @pytest.mark.parametrize(
-    "kind", ["linf_bmo", "weighted_pp", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued"]
+    "kind",
+    ["linf_bmo", "weighted_pp", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued", "l2_multiplier"],
 )
 def test_interval_family_reports_match_benchmark_reference(kind, seed):
     # the case table prints lhs with 17 digits, so a one-bit move in the
@@ -272,9 +279,8 @@ def test_interval_family_reports_match_benchmark_reference(kind, seed):
     ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["seeds"][str(seed)][kind]
     rep = run_scenario(from_config({"kind": kind, "seed": seed}))
     assert hashlib.sha256(emit_report(rep, "csv")).hexdigest() == ref["case_csv_sha256"]
-    if kind in ("linf_bmo", "weighted_pp", "weighted_weak11"):
-        # ap_estimate and a1_estimate appear only in the JSON report
-        assert hashlib.sha256(emit_report(rep, "json")).hexdigest() == ref["report_sha256"]
+    # figures such as ap_estimate and a1_estimate appear only in the JSON report
+    assert hashlib.sha256(emit_report(rep, "json")).hexdigest() == ref["report_sha256"]
     verdicts = {c.name: bool(c.passed) for c in rep.checks}
     assert {name: verdicts.get(name) for name in ref["verdicts"]} == ref["verdicts"]
 
