@@ -15,7 +15,7 @@ difference up to that scale are zero, so those points are skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +55,13 @@ class VariationSpec:
     s is the variation exponent (>= 1; the inequalities under test hold for
     s >= 2).  k_max is the truncation index: differences k = 1..k_max enter
     the sum.  The truncation error is controlled relative to the computed
-    value: the analytic tail bound must stay below
-    tail_tol * (sup of the result + tail_floor), unless enforce_tail is off.
+    value: the analytic tail bound must stay below tail_tol times the sup
+    of the result, unless enforce_tail is off.
     """
 
     s: float = 2.0
     k_max: int = 0
     tail_tol: float = 1e-8
-    tail_floor: float = 0.0
     enforce_tail: bool = True
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class VariationSpec:
             raise ValueError(f"truncation index must be >= 1, got {self.k_max!r}")
         if not self.tail_tol > 0.0:
             raise ValueError("tail_tol must be positive")
-        if self.tail_floor < 0.0:
-            raise ValueError("tail_floor must be non-negative")
 
     def check_seq(self, seq: LacunarySeq) -> None:
         if self.k_max > len(seq) - 1:
@@ -114,21 +111,8 @@ def oracle_averages_at(f: GridFunction, n: float, x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ScaleStack:
-    """A_{n_k} f for k = 0..k_max at shared eval points; levels[k] is row k."""
-
-    x: np.ndarray = field(repr=False)
-    levels: np.ndarray = field(repr=False)
-    scales: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.levels.shape != (len(self.scales), self.x.size):
-            raise ValueError("levels must be (number of scales, number of points)")
-
-
-def scale_stack_at(f: GridFunction, seq: LacunarySeq, k_max: int, x) -> ScaleStack:
-    """A_{n_k} f for k = 0..k_max at x, all levels held at once."""
+def scale_stack_at(f: GridFunction, seq: LacunarySeq, k_max: int, x) -> np.ndarray:
+    """A_{n_k} f for k = 0..k_max at x, all levels held at once: row k is scale k."""
     if k_max > len(seq) - 1:
         raise ValueError(f"k_max={k_max} exceeds sequence length {len(seq)} - 1")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -136,7 +120,7 @@ def scale_stack_at(f: GridFunction, seq: LacunarySeq, k_max: int, x) -> ScaleSta
     levels = np.empty((k_max + 1, x.size), dtype=np.float64)
     for k, n in enumerate(seq.scales[: k_max + 1]):
         levels[k] = (upper - f.primitive_at(x - n)) / n
-    return ScaleStack(x, levels, seq.scales[: k_max + 1])
+    return levels
 
 
 def _fold_power(acc: np.ndarray, comp: np.ndarray, term: np.ndarray, s: float, big: np.ndarray) -> None:
@@ -203,7 +187,7 @@ def default_eval_grid(f: GridFunction, seq: LacunarySeq, k_max: int, h: float | 
 def _tail_gate(tail: float, sup_val: float, spec: VariationSpec, seq: LacunarySeq) -> None:
     if not spec.enforce_tail:
         return
-    tol = spec.tail_tol * (sup_val + spec.tail_floor)
+    tol = spec.tail_tol * sup_val
     if tail <= tol:
         return
     if tol > 0.0:

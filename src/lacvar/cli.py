@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .avgops import VariationSpec, default_eval_grid, variation
@@ -157,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lacvar",
         description="Variation operators over lacunary scale sequences.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="thread cap for scenario cases whose kernel calls reach one chunk (overrides LACVAR_THREADS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("variation", help="evaluate the variation operator")
@@ -219,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        os.environ["LACVAR_THREADS"] = str(max(1, args.threads))
     try:
         return args.func(args)
     except Exception as exc:  # any failure to run is exit 2, never 1

@@ -107,7 +107,8 @@ class Scenario:
 
     `family` describes the test-function corpus (gridfn.make_family), and
     `options` carries kind-specific knobs (frequency grids, index ranges,
-    atom layouts); both are echoed verbatim into the report.
+    atom layouts); both are echoed verbatim into the report.  No kind reads
+    `lambda_grid`: it must stay empty, and is kept so the echo keeps its keys.
     """
 
     kind: str
@@ -160,6 +161,8 @@ class Scenario:
         unknown = set(self.options) - set(OPTION_KEYS[self.kind])
         if unknown:
             raise ScenarioInvalid(f"unknown {self.kind} options: {sorted(unknown)}")
+        if self.lambda_grid:
+            raise ScenarioInvalid("lambda_grid is read by no scenario kind and must stay empty")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -245,7 +248,7 @@ def from_config(config: dict) -> Scenario:
     for key, val in config.items():
         if key == "kind":
             continue
-        if key in ("rho", "lambda_grid"):
+        if key == "rho":
             val = tuple(val)
         if key in ("family", "options", "thresholds"):
             base = getattr(sc, key)
@@ -418,13 +421,16 @@ def _grid_for(f: GridFunction, seq, spec, scale: int, eval_h: float | None):
     return default_eval_grid(f, seq, spec.k_max, h=h)
 
 
-def _family_cases(sc, seq, spec, fams, lhs_of, rhs_of, grid_of=None) -> list[CaseResult]:
-    """One case per family member: lhs_of(V_s f) against rhs_of(f).
+def _family_cases(sc, lhs_of, rhs_of, grid_of=None, fams=None) -> list[CaseResult]:
+    """One case per member of sc's family (or `fams`): lhs_of(V_s f) against rhs_of(f).
 
     V_s f is sampled on grid_of(f, 1) for the case ratio and again on
     grid_of(f, 2) (half the step) for `ratio_refined`; the default grid is
     the support plus the top-scale pad at `eval_h` (or f's own step).
     """
+    seq = _seq_of(sc)
+    spec = _vspec(sc, seq)
+    fams = _materialize_family(sc) if fams is None else fams
     eval_h = sc.options.get("eval_h")
     grid_of = grid_of or (lambda f, scale: _grid_for(f, seq, spec, scale, eval_h))
     lhs_pairs = _refined(
@@ -440,70 +446,55 @@ def _family_cases(sc, seq, spec, fams, lhs_of, rhs_of, grid_of=None) -> list[Cas
     return cases
 
 
-def _stability(cases: list[CaseResult], threshold: float) -> dict:
-    """Sup ratio at the base resolution against the refined one."""
+def _stability(cases: list[CaseResult], threshold: float) -> tuple[dict, list[Check]]:
+    """Sup ratio at the base resolution against the refined one.
+
+    Returns the stability dict and its two checks, `sup_ratio_finite` and
+    `refinement_stability`, in that order.
+    """
     base = max(c.ratio for c in cases)
     fine = max(c.extra["ratio_refined"] for c in cases)
-    return {"base": base, "refined": fine, "rel_change": _rel_change(base, fine), "threshold": threshold}
+    change = _rel_change(base, fine)
+    stab = {"base": base, "refined": fine, "rel_change": change, "threshold": threshold}
+    return stab, [
+        Check("sup_ratio_finite", math.isfinite(base), {"sup_ratio": base}),
+        Check("refinement_stability", change <= threshold, {"rel_change": change, "threshold": threshold}),
+    ]
 
 
-def _finite_check(stab: dict) -> Check:
-    return Check("sup_ratio_finite", math.isfinite(stab["base"]), {"sup_ratio": stab["base"]})
-
-
-def _stability_check(stab: dict) -> Check:
-    return Check(
-        "refinement_stability",
-        stab["rel_change"] <= stab["threshold"],
-        {"rel_change": stab["rel_change"], "threshold": stab["threshold"]},
-    )
+def _spread_check(name: str, values: list[float], threshold: float, **detail) -> Check:
+    """(max - min) / min of values, at most threshold."""
+    spread = (max(values) - min(values)) / min(values)
+    return Check(name, spread <= threshold, {"spread": spread, "threshold": threshold, **detail})
 
 
 # ------------------------------------------------------------- the runners
 
 
 def _run_strong_pp(sc, th):
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    cases = _family_cases(
-        sc, seq, spec, _materialize_family(sc),
-        lambda v: lp_norm(v, sc.p), lambda f: lp_norm(f, sc.p),
-    )
-    stab = _stability(cases, th["stability"])
-    return _Outcome(cases, [_finite_check(stab), _stability_check(stab)], stab["base"], stab)
+    cases = _family_cases(sc, lambda v: lp_norm(v, sc.p), lambda f: lp_norm(f, sc.p))
+    stab, checks = _stability(cases, th["stability"])
+    return _Outcome(cases, checks, stab["base"], stab)
 
 
 def _run_weak_11(sc, th):
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    cases = _family_cases(sc, seq, spec, _materialize_family(sc), weak_sup, lambda f: lp_norm(f, 1.0))
-    stab = _stability(cases, th["stability"])
-    ratios = [c.ratio for c in cases]
-    spread = (max(ratios) - min(ratios)) / min(ratios)
-    checks = [
-        _finite_check(stab),
-        _stability_check(stab),
-        Check(
-            "family_spread",
-            spread <= th["family_spread"],
-            {"spread": spread, "threshold": th["family_spread"]},
-        ),
-    ]
+    cases = _family_cases(sc, weak_sup, lambda f: lp_norm(f, 1.0))
+    stab, checks = _stability(cases, th["stability"])
+    checks.append(_spread_check("family_spread", [c.ratio for c in cases], th["family_spread"]))
     return _Outcome(cases, checks, stab["base"], stab)
 
 
 def _run_weighted_pp(sc, th):
     p = sc.p
     wspec = parse_weight(sc.weight)
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
     fams = _materialize_family(sc)
     cases = _family_cases(
-        sc, seq, spec, fams,
+        sc,
         lambda v: lp_norm(v, p, wspec.sample(v.grid).fn),
         lambda f: lp_norm(f, p, wspec.sample(f.grid).fn),
+        fams=fams,
     )
-    stab = _stability(cases, th["stability_weighted"])
+    stab, checks = _stability(cases, th["stability_weighted"])
 
     # family-relative A_p constant of the weight, at two family resolutions
     f0 = fams[0]
@@ -518,30 +509,27 @@ def _run_weighted_pp(sc, th):
     ap_base = ap_at(ml, f0.h)
     ap_fine = ap_at(ml / 2.0, f0.h / 2.0)
     ap_change = _rel_change(ap_base, ap_fine)
-    checks = [
-        _finite_check(stab),
-        _stability_check(stab),
+    checks.append(
         Check(
             "ap_estimate_stable",
             math.isfinite(ap_base) and ap_change <= th["ap_stability"],
             {"ap_base": ap_base, "ap_refined": ap_fine, "rel_change": ap_change},
-        ),
-    ]
+        )
+    )
     constants = {"ap_estimate": ap_base, "ap_estimate_refined": ap_fine, "weight": wspec.label}
     return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
 def _run_weighted_weak11(sc, th):
     wspec = parse_weight(sc.weight)
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
     fams = _materialize_family(sc)
     cases = _family_cases(
-        sc, seq, spec, fams,
+        sc,
         lambda v: weak_sup(v, wspec.sample(v.grid).fn.values),
         lambda f: lp_norm(f, 1.0, wspec.sample(f.grid).fn),
+        fams=fams,
     )
-    stab = _stability(cases, th["stability_weighted"])
+    stab, checks = _stability(cases, th["stability_weighted"])
 
     # diagnostic: A_1 estimate of w^dual_r near the support, the hypothesis
     # side of the weighted weak-type statement
@@ -555,26 +543,19 @@ def _run_weighted_weak11(sc, th):
     )
     fam = make_dyadic_family(Interval(probe.x0, probe.x1), 2.0 * probe.h, inside_only=True)
     a1 = a1_constant(w_pow, fam)
-    checks = [
-        _finite_check(stab),
-        _stability_check(stab),
-        Check("a1_hypothesis_finite", math.isfinite(a1), {"a1_estimate": a1}),
-    ]
+    checks.append(Check("a1_hypothesis_finite", math.isfinite(a1), {"a1_estimate": a1}))
     constants = {"a1_estimate": a1, "dual_r": dual_r, "weight": wspec.label}
     return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
 def _run_linf_bmo(sc, th):
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-
     def bmo_of(v: GridFunction) -> float:
         domain = Interval(v.x0, v.x1)
         return bmo_norm(v, make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False))
 
-    cases = _family_cases(sc, seq, spec, _materialize_family(sc), bmo_of, sup_norm)
-    stab = _stability(cases, th["stability_bmo"])
-    return _Outcome(cases, [_finite_check(stab), _stability_check(stab)], stab["base"], stab)
+    cases = _family_cases(sc, bmo_of, sup_norm)
+    stab, checks = _stability(cases, th["stability_bmo"])
+    return _Outcome(cases, checks, stab["base"], stab)
 
 
 def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[tuple[float, float]]:
@@ -636,26 +617,16 @@ def _run_h1_l1(sc, th):
     cases = []
     per_scale_sup: dict[int, float] = {}
     for (m, sidx, atom), (base, fine) in zip(jobs, results):
-        cases.append(
-            CaseResult(
-                f"scale{m:+03d}_seed{sidx:02d}", base, 1.0, base,
-                {"ratio_refined": fine, "scale": 2.0**m},
-            )
-        )
+        extra = {"ratio_refined": fine, "scale": 2.0**m}
+        cases.append(CaseResult(f"scale{m:+03d}_seed{sidx:02d}", base, 1.0, base, extra))
         per_scale_sup[m] = max(per_scale_sup.get(m, 0.0), base)
-    stab = _stability(cases, th["stability_h1"])
-    sups = list(per_scale_sup.values())
-    spread = (max(sups) - min(sups)) / min(sups)
-    checks = [
-        _finite_check(stab),
-        _stability_check(stab),
-        Check(
-            "scale_spread",
-            spread <= th["scale_spread"],
-            {"spread": spread, "threshold": th["scale_spread"],
-             "per_scale_sup": {str(m): v for m, v in sorted(per_scale_sup.items())}},
-        ),
-    ]
+    stab, checks = _stability(cases, th["stability_h1"])
+    checks.append(
+        _spread_check(
+            "scale_spread", list(per_scale_sup.values()), th["scale_spread"],
+            per_scale_sup={str(m): v for m, v in sorted(per_scale_sup.items())},
+        )
+    )
     return _Outcome(cases, checks, stab["base"], stab, {"atom_count": len(jobs)})
 
 
@@ -663,7 +634,8 @@ def _run_l2_multiplier(sc, th):
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
     scan = sup_scan(seq, parse_xi_grid(sc.options["xi_grid"]), spec.k_max)
-    bound = math.sqrt(scan.sup_q) * th["multiplier_slack"]
+    sqrt_q = math.sqrt(scan.sup_q)
+    bound = sqrt_q * th["multiplier_slack"]
     eval_cells = int(sc.options["eval_cells"])
     nk = seq.scales[spec.k_max]
 
@@ -671,23 +643,14 @@ def _run_l2_multiplier(sc, th):
         span = (f.x1 + nk) - f.x0
         return UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale)
 
-    cases = _family_cases(
-        sc, seq, spec, _materialize_family(sc),
-        lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grid_of,
-    )
-    stab = _stability(cases, th["stability"])
+    cases = _family_cases(sc, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grid_of)
+    stab, (finite, _) = _stability(cases, th["stability"])
     worst = stab["base"]
-    checks = [
-        _finite_check(stab),
-        Check(
-            "multiplier_bound",
-            worst <= bound,
-            {"worst_ratio": worst, "bound": bound, "sqrt_sup_q": math.sqrt(scan.sup_q)},
-        ),
-    ]
+    detail = {"worst_ratio": worst, "bound": bound, "sqrt_sup_q": sqrt_q}
+    checks = [finite, Check("multiplier_bound", worst <= bound, detail)]
     constants = {
         "sup_q": scan.sup_q,
-        "sqrt_sup_q": math.sqrt(scan.sup_q),
+        "sqrt_sup_q": sqrt_q,
         "bound": bound,
         "sup_i": scan.sup_i,
         "argmax_xi": scan.argmax_xi,
@@ -721,15 +684,11 @@ def _run_vector_valued(sc, th):
         scale_ref = max(1.0, float(np.max(aggs[lo].values)))
         if gap > slack * scale_ref:
             mono_ok = False
-    stab = _stability(cases, th["stability"])
+    stab, (finite, stable) = _stability(cases, th["stability"])
     checks = [
-        _finite_check(stab),
-        Check(
-            "aggregate_monotone_in_rho",
-            mono_ok,
-            {"worst_gap": worst_gap, "slack": slack},
-        ),
-        _stability_check(stab),
+        finite,
+        Check("aggregate_monotone_in_rho", mono_ok, {"worst_gap": worst_gap, "slack": slack}),
+        stable,
     ]
     return _Outcome(cases, checks, stab["base"], stab)
 

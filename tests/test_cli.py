@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_verify_bad_thread_cap_names_the_variable(kind, tmp_path, capsys, monkey
     assert rc == 2
     err = capsys.readouterr().err
     assert "LACVAR_THREADS" in err and "'abc'" in err
+
+
+def test_threads_flag_is_a_usage_error(tmp_path, indicator_csv, capsys, monkeypatch):
+    # LACVAR_THREADS is the one thread setting; the CLI leaves it as it is
+    monkeypatch.setenv("LACVAR_THREADS", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--threads", "4", "variation", "--input", indicator_csv,
+            "--seq", "geometric:1:2:6", "--out", str(tmp_path / "v.csv"),
+        ])
+    assert exc.value.code == 2
+    assert "usage: lacvar" in capsys.readouterr().err
+    assert os.environ["LACVAR_THREADS"] == "1"
 
 
 def test_verify_scenario_config_mismatch(tmp_path, capsys):

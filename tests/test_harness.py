@@ -73,6 +73,8 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "weighted_pp", "weight": "constant:inf"}, "constant:inf"),
         ({"kind": "weighted_weak11", "weight": "power:nan"}, "power:nan"),
         ({"kind": "weighted_pp", "weight": "power:inf"}, "power:inf"),
+        # a field no runner reads, which would be silently ignored
+        ({"kind": "weak_11", "lambda_grid": [1, 2]}, "lambda_grid"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -271,7 +273,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 @pytest.mark.parametrize("seed", [0, 1, 12])
 @pytest.mark.parametrize(
     "kind",
-    ["linf_bmo", "weighted_pp", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued", "l2_multiplier"],
+    ["linf_bmo", "weighted_pp", "weighted_weak11", "strong_pp", "h1_l1", "vector_valued", "l2_multiplier", "weak_11"],
 )
 def test_interval_family_reports_match_benchmark_reference(kind, seed):
     # the case table prints lhs with 17 digits, so a one-bit move in the
