@@ -9,7 +9,11 @@ into a compensated sum; `scale_stack_at` keeps every level instead and is
 the reference route the tests hold the fold to.  At each scale the fold
 interpolates only where the window's left end lies in the support: left of
 it the level is a plain quotient, and right of it the level and every
-difference up to that scale are zero, so those points are skipped.
+difference up to that scale are zero, so those points are skipped.  Right
+of the support, where every window holds all of it or none of it, V_s f is
+flat between consecutive shifted supports: it is folded once per flat
+stretch and copied, and ascending points find their stretches and zones by
+binary search.
 """
 
 from __future__ import annotations
@@ -215,6 +219,59 @@ def _zone_edges(f: GridFunction, scales: tuple[float, ...]) -> tuple[np.ndarray,
         return np.fmax(c0 - pad0, -np.inf), np.fmin(c1 + pad1, np.inf)
 
 
+def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The gaps [lo, hi) that (-inf, x1) and the windows [t_L, t_R) leave,
+    as one ascending array lo_0, hi_0, lo_1, hi_1, ...
+
+    A point x in a gap has x >= x1, so its upper primitive is the total
+    integral, and at every scale it is in zone L or zone R: each gap is one
+    flat stretch of V_s f.  Its left edge lies in it and stands for it.
+    """
+    bounds = []
+    end = x1
+    for a, b in sorted(zip(below.tolist(), above.tolist())):
+        if a > end:
+            bounds += [end, a]
+        if b > end:
+            end = b
+    if end < math.inf:
+        bounds += [end, math.inf]
+    return np.array(bounds)
+
+
+def _fold(f: GridFunction, scales, s: float, x: np.ndarray, ends_l: list, starts_r: list) -> np.ndarray:
+    """V_s f at x, given each scale's zones L = x[:ends_l[k]] and
+    R = x[starts_r[k]:]."""
+    upper = f.primitive_at(x)
+    shifted = np.empty_like(x)
+    level = np.zeros_like(x)
+    prev = np.zeros_like(x)
+    acc = np.zeros_like(x)
+    comp = np.zeros_like(x)
+    big = np.empty_like(x)
+    for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
+        if a:
+            # (upper - 0.0) / n is upper / n bit for bit
+            np.divide(upper[:a], n, out=level[:a])
+        if a < b:
+            lower = f.primitive_at(np.subtract(x[a:b], n, out=shifted[a:b]))
+            np.subtract(upper[a:b], lower, out=lower)
+            np.divide(lower, n, out=level[a:b])
+        if k and b:
+            # a point past b is in R here and at every smaller scale:
+            # whatever the buffers took there came out +0.0, its term
+            # would be |0 - 0|**s = 0, and folding a zero leaves acc and
+            # comp bit-unchanged
+            diff = prev[:b]
+            np.subtract(level[:b], diff, out=diff)
+            np.abs(diff, out=diff)
+            _fold_power(acc[:b], comp[:b], diff, s, big[:b])
+        level, prev = prev, level
+    acc += comp
+    acc **= 1.0 / s
+    return acc
+
+
 def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
     """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s).
 
@@ -223,57 +280,74 @@ def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> n
     O(_CHUNK) whatever the number of scales; only the result is O(len(x)).
 
     At scale n a chunk falls into three zones, found on v = fl(x - n):
-    L, a prefix with v < f.x0, where the lower primitive is 0 and the level
-    is upper / n; M, where primitive_at interpolates; R, a suffix with
-    v >= f.x1, where the level is 0 at this scale and every smaller one, so
-    the difference and the fold are skipped there.  The prefix and suffix
-    come from the chunk's running max from the left and running min from
-    the right, so they hold for any point order; on ascending points they
-    are tight and M is about the points whose window cuts the support.
-    Any point left in M gets the same value from the interpolation, so the
-    result is the same bits for every split.
+    L, with v < f.x0, where the lower primitive is 0 and the level is
+    upper / n; M, where primitive_at interpolates; R, with v >= f.x1, where
+    the level is 0 at this scale and every smaller one, so the difference
+    and the fold are skipped there.  Right of the support, the points that
+    are in L or R at every scale and lie between the same two windows all
+    run the same float operations: V_s f is folded once for each such flat
+    stretch, at its left edge, and copied to the points in it.
+
+    An ascending NaN-free chunk, the order every caller in the package
+    passes, is cut by searchsorted: its flat stretches are filled from a
+    table of stretch values, and its other points are gathered and folded
+    in one call, with L a prefix and R a suffix of them at each scale.  The
+    first chunk that meets a flat stretch folds the stretches' left edges
+    along with its points to make the table.  Any other chunk takes L and
+    R from its running max from the left and running min from the right,
+    which hold for any point order, and folds every point.  A point gets
+    the same value on either path, so the result is the same bits for
+    every split and order.
     """
     spec.check_seq(seq)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     scales = seq.scales[: spec.k_max + 1]
     below, above = _zone_edges(f, scales)
+    bounds = _flat_stretches(f.x1, below, above)
+    table = None  # V_s f on each flat stretch
     vals = np.empty(x.size, dtype=np.float64)
     for lo in range(0, x.size, _CHUNK):
         xc = x[lo : lo + _CHUNK]
-        # L ends at the first point whose running max reaches t_L, R starts
-        # after the last point whose running min from the right is below
-        # t_R; NaN propagates through both runs, so a NaN point is in M
-        ends_l = np.searchsorted(np.maximum.accumulate(xc), below).tolist()
-        in_r = np.searchsorted(np.maximum.accumulate(-xc[::-1]), -above, side="right")
-        starts_r = (xc.size - in_r).tolist()
-        upper = f.primitive_at(xc)
-        shifted = np.empty_like(xc)
-        level = np.zeros_like(xc)
-        prev = np.zeros_like(xc)
-        acc = np.zeros_like(xc)
-        comp = np.zeros_like(xc)
-        big = np.empty_like(xc)
-        for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
-            if a:
-                # (upper - 0.0) / n is upper / n bit for bit
-                np.divide(upper[:a], n, out=level[:a])
-            if a < b:
-                lower = f.primitive_at(np.subtract(xc[a:b], n, out=shifted[a:b]))
-                np.subtract(upper[a:b], lower, out=lower)
-                np.divide(lower, n, out=level[a:b])
-            if k and b:
-                # a point past b is in R here and at every smaller scale:
-                # whatever the buffers took there came out +0.0, its term
-                # would be |0 - 0|**s = 0, and folding a zero leaves acc and
-                # comp bit-unchanged
-                diff = prev[:b]
-                np.subtract(level[:b], diff, out=diff)
-                np.abs(diff, out=diff)
-                _fold_power(acc[:b], comp[:b], diff, spec.s, big[:b])
-            level, prev = prev, level
         out = vals[lo : lo + _CHUNK]
-        np.add(acc, comp, out=out)
-        out **= 1.0 / spec.s
+        # a lone NaN passes the pairwise test, so xc[0] is tested on its own
+        if not (xc[0] == xc[0] and np.all(xc[1:] >= xc[:-1])):
+            # L ends at the first point whose running max reaches t_L, R
+            # starts after the last point whose running min from the right
+            # is below t_R; NaN propagates through both runs, so a NaN
+            # point is in M
+            ends_l = np.searchsorted(np.maximum.accumulate(xc), below).tolist()
+            in_r = np.searchsorted(np.maximum.accumulate(-xc[::-1]), -above, side="right")
+            out[:] = _fold(f, scales, spec.s, xc, ends_l, (xc.size - in_r).tolist())
+            continue
+        cuts = np.searchsorted(xc, bounds).tolist()
+        stretches = list(zip(cuts[::2], cuts[1::2]))
+        flat = [(m, a, b) for m, (a, b) in enumerate(stretches) if a < b]
+        make = table is None and bool(flat)
+        # the points folded are the spans between the stretches that cut
+        # the chunk; to make the table, every stretch cuts it and its left
+        # edge is folded just after the span before it
+        cut_by = stretches if make else [(a, b) for _, a, b in flat]
+        ends = [0, *(i for ab in cut_by for i in ab), xc.size]
+        spans = list(zip(ends[::2], ends[1::2]))
+        if make:
+            table = []
+            xs = np.concatenate([p for m, (a, b) in enumerate(spans) for p in (xc[a:b], bounds[2 * m : 2 * m + 1])])
+        else:
+            parts = [xc[a:b] for a, b in spans if a < b]
+            xs = parts[0] if len(parts) == 1 else np.concatenate([xc[:0], *parts])
+        if xs.size:
+            ends_l = np.searchsorted(xs, below).tolist()
+            starts_r = np.searchsorted(xs, above).tolist()
+            res = _fold(f, scales, spec.s, xs, ends_l, starts_r)
+            j = 0
+            for m, (a, b) in enumerate(spans):
+                out[a:b] = res[j : j + b - a]
+                j += b - a
+                if make and m < len(cut_by):
+                    table.append(res[j])
+                    j += 1
+        for m, a, b in flat:
+            out[a:b] = table[m]
     _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(vals, initial=0.0)), spec, seq)
     return vals
 

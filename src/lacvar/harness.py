@@ -101,6 +101,10 @@ class ScenarioInvalid(ValueError):
     pass
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One runnable verification experiment.
@@ -130,9 +134,9 @@ class Scenario:
     def validate(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioInvalid(f"unknown scenario kind {self.kind!r}")
-        if not self.s >= 1.0:
+        if not (_is_real(self.s) and self.s >= 1.0):
             raise ScenarioInvalid("variation exponent s must be >= 1")
-        if self.p is not None and not self.p > 1.0:
+        if self.p is not None and not (_is_real(self.p) and self.p > 1.0):
             raise ScenarioInvalid("norm exponent p must exceed 1")
         default = default_scenario(self.kind)
         if default.p is not None and self.p is None:
@@ -145,8 +149,8 @@ class Scenario:
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from exc
         if self.kind == "vector_valued":
-            if not self.rho or any(not r > 1.0 for r in self.rho):
-                raise ScenarioInvalid("vector_valued needs aggregation exponents > 1")
+            if not self.rho or any(not (_is_real(r) and r > 1.0) for r in self.rho):
+                raise ScenarioInvalid(f"vector_valued needs aggregation exponents rho > 1, got {self.rho!r}")
         if "kind" in default.family and "kind" not in self.family:
             raise ScenarioInvalid(f"{self.kind} needs a function family")
         if "kind" in self.family:
@@ -163,6 +167,12 @@ class Scenario:
             raise ScenarioInvalid(f"unknown {self.kind} options: {sorted(unknown)}")
         if self.lambda_grid:
             raise ScenarioInvalid("lambda_grid is read by no scenario kind and must stay empty")
+        eval_h = self.options.get("eval_h")
+        if eval_h is not None and not (_is_real(eval_h) and 0.0 < eval_h < math.inf):
+            raise ScenarioInvalid(f"options.eval_h must be a positive number, got {eval_h!r}")
+        eval_cells = self.options.get("eval_cells", 1)
+        if not (_is_real(eval_cells) and math.isfinite(eval_cells) and eval_cells == int(eval_cells) >= 1):
+            raise ScenarioInvalid(f"options.eval_cells must be a positive integer, got {eval_cells!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -249,8 +259,12 @@ def from_config(config: dict) -> Scenario:
         if key == "kind":
             continue
         if key == "rho":
+            if not isinstance(val, (list, tuple)):
+                raise ScenarioInvalid(f"rho must be a list of aggregation exponents, got {val!r}")
             val = tuple(val)
         if key in ("family", "options", "thresholds"):
+            if not isinstance(val, dict):
+                raise ScenarioInvalid(f"{key} must be an object of named values, got {val!r}")
             base = getattr(sc, key)
             # a family of another kind shares no parameters with the default
             if key == "family" and val.get("kind", base.get("kind")) != base.get("kind"):

@@ -374,12 +374,16 @@ def test_streamed_variation_with_edges_past_the_float_range():
 
 
 def test_variation_interpolates_only_where_windows_cut_the_support(monkeypatch):
-    # strong_pp's shape: of the N points x 16 scales, the lower primitive is
-    # needed only where [x - n_k, x] has its left end in the support
+    # strong_pp's shape: 64 cells, 16 scales, 65,600 midpoints, nearly all
+    # on flat stretches past the support.  The upper primitive is needed
+    # only next to the support, inside a window [t_L, t_R) and at one point
+    # per stretch, and the lower one only where [x - n_k, x] has its left
+    # end in the support: about 2 x cells x scales points in all
     rng = np.random.default_rng(0)
     f = GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64))
     seq = parse_sequence("geometric:0.03125:2:16")
     x = default_eval_grid(f, seq, 15).midpoints
+    assert x.size == 65_600
     seen = []
     primitive_at = GridFunction.primitive_at
 
@@ -389,7 +393,46 @@ def test_variation_interpolates_only_where_windows_cut_the_support(monkeypatch):
 
     monkeypatch.setattr(GridFunction, "primitive_at", spy)
     variation_at(f, seq, _spec(k_max=15), x)
-    assert sum(seen) < x.size + 2 * f.n * len(seq)
+    assert sum(seen) < 3 * f.n * len(seq)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 2.0, 2.5, 7.3]),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 7, None]),
+)
+def test_flat_stretches_match_stack_route_exactly(seed, s, chunk):
+    # right of the support V_s f is folded once per flat stretch and copied;
+    # the points sit on every zone threshold t_L, t_R and on x1, one ulp
+    # either side, and at +-inf.  The chunks are one ascending run, the same
+    # run with one pair swapped, and a lone NaN in a one-point chunk.
+    rng = np.random.default_rng(seed)
+    chunk = chunk or avgops._CHUNK
+    cells = int(rng.integers(1, 40))
+    x0 = float(rng.choice([rng.uniform(-2.0, 2.0), -rng.uniform(1.0, 1e4), 0.0]))
+    f = GridFunction(x0, float(rng.uniform(0.01, 0.5)), rng.uniform(-1.0, 1.0, size=cells))
+    seq = parse_sequence(f"geometric:{rng.uniform(0.01, 1.0):.6g}:2:{int(rng.integers(2, 10))}")
+    spec = _spec(s=s, k_max=int(rng.integers(1, len(seq))))
+    below, above = avgops._zone_edges(f, seq.scales[: spec.k_max + 1])
+    edges = np.concatenate([below, above, [f.x1]])
+    edges = edges[np.isfinite(edges)]
+    run = np.sort(np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        rng.uniform(f.x0 - 1.0, f.x1 + 2.0 * seq.scales[spec.k_max], size=int(rng.integers(0, 40))),
+        [np.inf, -np.inf],
+    ]))
+    swapped = run.copy()
+    i = int(rng.integers(0, run.size - 1))
+    swapped[[i, i + 1]] = swapped[[i + 1, i]]
+
+    def whole_chunks(pts):
+        return np.concatenate([pts, np.full(-pts.size % chunk, np.inf)])
+
+    x = np.concatenate([whole_chunks(run), whole_chunks(swapped), [np.nan]])
+    want = oracle_variation_at(f, seq, spec, x)
+    with mock.patch.object(avgops, "_CHUNK", chunk):
+        got = variation_at(f, seq, spec, x)
+    assert got.tobytes() == want.tobytes()
 
 
 @given(

@@ -75,6 +75,18 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "weighted_pp", "weight": "power:inf"}, "power:inf"),
         # a field no runner reads, which would be silently ignored
         ({"kind": "weak_11", "lambda_grid": [1, 2]}, "lambda_grid"),
+        # values of the wrong type or range, caught before any corpus is built
+        ({"kind": "strong_pp", "s": "2"}, "exponent s"),
+        ({"kind": "strong_pp", "p": "2"}, "exponent p"),
+        ({"kind": "vector_valued", "rho": 2}, "rho"),
+        ({"kind": "vector_valued", "rho": ["2"]}, "rho"),
+        ({"kind": "strong_pp", "family": "x"}, "family"),
+        ({"kind": "strong_pp", "options": [0.1]}, "options"),
+        ({"kind": "strong_pp", "options": {"eval_h": -1}}, "eval_h"),
+        ({"kind": "strong_pp", "options": {"eval_h": 0}}, "eval_h"),
+        ({"kind": "vector_valued", "options": {"eval_h": "0.1"}}, "eval_h"),
+        ({"kind": "l2_multiplier", "options": {"eval_cells": 0}}, "eval_cells"),
+        ({"kind": "l2_multiplier", "options": {"eval_cells": 2.5}}, "eval_cells"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -82,6 +94,7 @@ def test_from_config_rejects_unknown_fields():
         from_config({"kind": kind, "options": default_scenario(kind).options})
     from_config({"kind": "weighted_weak11", "options": {"eval_h": 0.125, "dual_r": 3.0}})
     from_config({"kind": "dr_condition", "options": {"y": 1.5}})
+    from_config({"kind": "l2_multiplier", "options": {"eval_cells": 256}})
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
 
