@@ -423,7 +423,10 @@ def write_function_csv(f: GridFunction, path_or_buf) -> None:
     """CSV with a metadata comment line, then one row per cell left edge.
 
     Values carry 17 significant digits so the round trip is bit-exact for
-    float64.
+    float64.  Each run of values with equal bits is formatted once: a
+    one-row run in its row, a longer run once for all of its rows.  A flat
+    stretch thus costs one `%.17g`, all-distinct values still cost one per
+    row, and the bytes are those of formatting every row.
     """
     own = isinstance(path_or_buf, (str, bytes))
     buf = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
@@ -432,8 +435,23 @@ def write_function_csv(f: GridFunction, path_or_buf) -> None:
         buf.write(_HEADER + "\n")
         edges = f.x0 + f.h * np.arange(f.n)
         for lo in range(0, f.n, _CSV_ROWS):
-            pairs = np.column_stack((edges[lo : lo + _CSV_ROWS], f.values[lo : lo + _CSV_ROWS]))
-            buf.write(("%.17g,%.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
+            xc, vc = edges[lo : lo + _CSV_ROWS], f.values[lo : lo + _CSV_ROWS]
+            # runs of equal bits: 0.0 and -0.0 compare equal but print apart
+            bits = vc.view(np.int64)
+            head = np.concatenate(([True], bits[1:] != bits[:-1]))
+            alone = head & np.append(head[1:], True)
+            shared = head & ~alone
+            # a one-row run keeps its value's %.17g in the template; a longer
+            # run's value is formatted once here and its text pasted into each
+            # of its rows (%.17g never prints a '%')
+            vals = vc[shared]
+            text = np.array(("%.17g\n" * vals.size % tuple(vals.tolist())).split("\n"), dtype=object)
+            text[-1] = "%.17g"  # the split's empty last slot, taken by one-row runs
+            spec = text[np.where(alone, -1, np.cumsum(shared) - 1)]
+            template = "%.17g," + "\n%.17g,".join(spec.tolist()) + "\n"
+            keep = np.column_stack((np.ones(vc.size, dtype=bool), alone)).ravel()
+            args = np.column_stack((xc, vc)).ravel()[keep]
+            buf.write(template % tuple(args.tolist()))
     finally:
         if own:
             buf.close()

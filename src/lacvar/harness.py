@@ -105,6 +105,10 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One runnable verification experiment.
@@ -138,6 +142,10 @@ class Scenario:
             raise ScenarioInvalid("variation exponent s must be >= 1")
         if self.p is not None and not (_is_real(self.p) and self.p > 1.0):
             raise ScenarioInvalid("norm exponent p must exceed 1")
+        if not _is_int(self.seed):
+            raise ScenarioInvalid(f"seed must be an integer, got {self.seed!r}")
+        if self.k_max is not None and not (_is_int(self.k_max) and self.k_max >= 1):
+            raise ScenarioInvalid(f"k_max must be null or an integer >= 1, got {self.k_max!r}")
         default = default_scenario(self.kind)
         if default.p is not None and self.p is None:
             raise ScenarioInvalid(f"{self.kind} needs p")
@@ -173,6 +181,9 @@ class Scenario:
         eval_cells = self.options.get("eval_cells", 1)
         if not (_is_real(eval_cells) and math.isfinite(eval_cells) and eval_cells == int(eval_cells) >= 1):
             raise ScenarioInvalid(f"options.eval_cells must be a positive integer, got {eval_cells!r}")
+        k_pair = self.options.get("k_pair", (1, 1))
+        if not (isinstance(k_pair, (list, tuple)) and len(k_pair) == 2 and all(map(_is_int, k_pair))):
+            raise ScenarioInvalid(f"options.k_pair must be two integers, got {k_pair!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

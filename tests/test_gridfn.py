@@ -437,18 +437,50 @@ def test_csv_layout_metadata_then_header_then_left_edges():
     assert lines[4].split(",")[0] == "1"
 
 
-@pytest.mark.parametrize("rows_per_write", [1, 3, 10, 1 << 14])
-def test_csv_rows_match_row_by_row_format(monkeypatch, rows_per_write):
+def _row_by_row_csv(f):
     # the row-at-a-time writer the chunked one replaced, as a byte oracle
-    rng = np.random.default_rng(5)
-    f = GridFunction(-0.3, 0.004, np.concatenate([[0.0, -0.0, 5e-324], rng.uniform(-1e3, 1e3, 7)]))
-    want = f"# x0={f.x0:.17g} h={f.h:.17g} n={f.n}\nx,value\n" + "".join(
+    return f"# x0={f.x0:.17g} h={f.h:.17g} n={f.n}\nx,value\n" + "".join(
         f"{x:.17g},{v:.17g}\n" for x, v in zip(f.x0 + f.h * np.arange(f.n), f.values)
     )
+
+
+_CSV_CASES = {
+    "all_distinct": np.concatenate([[0.0, -0.0, 5e-324], np.random.default_rng(5).uniform(-1e3, 1e3, 37)]),
+    # runs of 1..7 rows that cross every chunk boundary below, ending in a run
+    "runs": np.repeat([0.25, -1.0 / 3.0, 0.25, 7e-300, 1e300, -2.5, 0.1], [3, 1, 7, 2, 5, 4, 6]),
+    # 0.0 and -0.0 compare equal and 5e-324 is one bit from 0.0: each is its own run
+    "zeros": np.array([0.0, 0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324, 0.0, -5e-324, -0.0, -0.0]),
+    "one_row": np.array([-0.0]),
+}
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 2, 3, 10, 1 << 14])
+def test_csv_rows_match_row_by_row_format(monkeypatch, rows_per_write):
     monkeypatch.setattr(gridfn, "_CSV_ROWS", rows_per_write)
+    for case, values in _CSV_CASES.items():
+        f = GridFunction(-0.3, 0.004, values)
+        buf = io.StringIO()
+        write_function_csv(f, buf)
+        assert buf.getvalue() == _row_by_row_csv(f), case
+
+
+_CSV_POOL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0 / 3.0, 0.1, 2.5e300, -1e-300, 123456.789]
+
+
+@given(
+    runs=st.lists(st.tuples(st.sampled_from(_CSV_POOL), st.integers(1, 9)), min_size=1, max_size=30),
+    rows_per_write=st.sampled_from([1, 2, 3, 10, 1 << 14]),
+    x0=st.floats(-5.0, 5.0),
+    h=st.floats(1e-3, 2.0),
+)
+def test_csv_runs_match_row_by_row_format(runs, rows_per_write, x0, h):
+    values = np.repeat([v for v, _ in runs], [n for _, n in runs])
+    f = GridFunction(x0, h, values)
     buf = io.StringIO()
-    write_function_csv(f, buf)
-    assert buf.getvalue() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridfn, "_CSV_ROWS", rows_per_write)
+        write_function_csv(f, buf)
+    assert buf.getvalue() == _row_by_row_csv(f)
 
 
 def test_csv_rejects_row_count_mismatch():

@@ -87,6 +87,18 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "vector_valued", "options": {"eval_h": "0.1"}}, "eval_h"),
         ({"kind": "l2_multiplier", "options": {"eval_cells": 0}}, "eval_cells"),
         ({"kind": "l2_multiplier", "options": {"eval_cells": 2.5}}, "eval_cells"),
+        ({"kind": "strong_pp", "seed": "x"}, "seed"),
+        ({"kind": "strong_pp", "seed": 1.0}, "seed"),
+        ({"kind": "strong_pp", "seed": True}, "seed"),
+        ({"kind": "strong_pp", "k_max": 1.5}, "k_max"),
+        ({"kind": "strong_pp", "k_max": -3}, "k_max"),
+        ({"kind": "strong_pp", "k_max": 0}, "k_max"),
+        ({"kind": "strong_pp", "k_max": False}, "k_max"),
+        ({"kind": "fourier_bound", "options": {"k_pair": 5}}, "k_pair"),
+        ({"kind": "fourier_bound", "options": {"k_pair": [20]}}, "k_pair"),
+        ({"kind": "fourier_bound", "options": {"k_pair": [20, 40.5]}}, "k_pair"),
+        ({"kind": "fourier_bound", "options": {"k_pair": [20, True]}}, "k_pair"),
+        ({"kind": "fourier_bound", "options": {"k_pair": None}}, "k_pair"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -95,6 +107,9 @@ def test_from_config_rejects_unknown_fields():
     from_config({"kind": "weighted_weak11", "options": {"eval_h": 0.125, "dual_r": 3.0}})
     from_config({"kind": "dr_condition", "options": {"y": 1.5}})
     from_config({"kind": "l2_multiplier", "options": {"eval_cells": 256}})
+    from_config({"kind": "strong_pp", "seed": 7, "k_max": 3})
+    from_config({"kind": "strong_pp", "k_max": None})
+    from_config({"kind": "fourier_bound", "options": {"k_pair": (5, 10)}})
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
 
