@@ -134,7 +134,7 @@ def _fold_power(acc: np.ndarray, comp: np.ndarray, term: np.ndarray, s: float, b
     is >= 0 and so is acc, so the larger magnitude is the larger value:
     max/min pick the same branch as comparing absolute values would.
     Folding terms in a fixed order with this compensation keeps results
-    independent of how work is split across threads or chunks.
+    independent of how the points are split into chunks.
     """
     term **= s
     np.maximum(acc, term, out=big)

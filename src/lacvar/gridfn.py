@@ -117,8 +117,7 @@ class GridFunction:
 
         S is piecewise linear between cell edges, 0 left of the grid and the
         total integral right of it.  The edge table is built on the first
-        call and kept on the (immutable) object; threads racing on that
-        first call store equal tables, so no lock is needed.
+        call and kept on the (immutable) object.
         """
         table = self.__dict__.get("_primitive")
         if table is None:

@@ -8,10 +8,8 @@ and pass/fail checks against configured thresholds.
 Reports are deterministic: identical scenario + seed gives byte-identical
 JSON.  Wall-clock timing is kept on the in-memory report object only and
 never serialized, precisely so the byte-determinism contract can hold.
-Cases run on threads (capped by LACVAR_THREADS) only when a kernel call
-reaches one chunk of points; vector_valued folds its members in a loop.
-Threads cannot change output bytes either: every case is pure and results
-are assembled in case order.
+Cases run in order on the calling thread; vector_valued folds its members
+in a loop.
 
 A note on truncation: scenario measurements run with the variation tail
 gate waived and instead record the analytic tail bound alongside each case.
@@ -24,14 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .avgops import _CHUNK, VariationSpec, default_eval_grid, tail_bound, variation, variation_at, vector_variations
+from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variation_at, vector_variations
 from .fourier import multiplier_tail, parse_xi_grid, sup_scan
 from .gridfn import (
     BadParams,
@@ -178,12 +174,21 @@ class Scenario:
         eval_h = self.options.get("eval_h")
         if eval_h is not None and not (_is_real(eval_h) and 0.0 < eval_h < math.inf):
             raise ScenarioInvalid(f"options.eval_h must be a positive number, got {eval_h!r}")
-        eval_cells = self.options.get("eval_cells", 1)
-        if not (_is_real(eval_cells) and math.isfinite(eval_cells) and eval_cells == int(eval_cells) >= 1):
-            raise ScenarioInvalid(f"options.eval_cells must be a positive integer, got {eval_cells!r}")
-        k_pair = self.options.get("k_pair", (1, 1))
-        if not (isinstance(k_pair, (list, tuple)) and len(k_pair) == 2 and all(map(_is_int, k_pair))):
-            raise ScenarioInvalid(f"options.k_pair must be two integers, got {k_pair!r}")
+        for key in ("eval_cells", "atoms_per_scale", "atom_cells", "zone_points",
+                    "y_count", "x_count", "sequence_count"):
+            n = self.options.get(key, 1)
+            if not (_is_real(n) and math.isfinite(n) and n == int(n) >= 1):
+                raise ScenarioInvalid(f"options.{key} must be a positive integer, got {n!r}")
+        for key in ("k_pair", "i_range"):
+            pair = self.options.get(key, (1, 1))
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise ScenarioInvalid(f"options.{key} must be two integers, got {pair!r}")
+        rs = self.options.get("r_values", (1.0,))
+        if not (isinstance(rs, (list, tuple)) and rs and all(_is_real(r) and r >= 1.0 for r in rs)):
+            raise ScenarioInvalid(f"options.r_values must be a non-empty list of numbers >= 1, got {rs!r}")
+        xi_grid = self.options.get("xi_grid", "")
+        if not isinstance(xi_grid, str):
+            raise ScenarioInvalid(f"options.xi_grid must be a frequency grid literal, got {xi_grid!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -365,33 +370,6 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
 # ------------------------------------------------------------ shared helpers
 
 
-def _thread_cap() -> int:
-    """LACVAR_THREADS (default: the cores) as a thread count; values below 1 mean 1."""
-    env = os.environ.get("LACVAR_THREADS") or str(os.cpu_count() or 1)
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"LACVAR_THREADS must be an integer, got {env!r}") from None
-
-
-def _refined(items: list, measure, points: int) -> list[tuple]:
-    """(measure(item, 1), measure(item, 2)) for each item, in item order.
-
-    Scale 2 refines scale 1 to half the step.  `points` is the number of
-    points one scale-1 call evaluates.  Items run on a thread pool only
-    when that is at least one kernel chunk: smaller calls contend for the
-    interpreter lock, and ran slower on two threads than in a loop.
-    """
-    def both(item):
-        return measure(item, 1), measure(item, 2)
-
-    cap = min(_thread_cap(), len(items))
-    if points < _CHUNK or cap <= 1:
-        return [both(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(both, items))
-
-
 def _seq_of(sc: Scenario) -> LacunarySeq:
     return parse_sequence(sc.seq, sc.beta)
 
@@ -458,13 +436,9 @@ def _family_cases(sc, lhs_of, rhs_of, grid_of=None, fams=None) -> list[CaseResul
     fams = _materialize_family(sc) if fams is None else fams
     eval_h = sc.options.get("eval_h")
     grid_of = grid_of or (lambda f, scale: _grid_for(f, seq, spec, scale, eval_h))
-    lhs_pairs = _refined(
-        fams,
-        lambda f, scale: lhs_of(variation(f, seq, spec, grid_of(f, scale))),
-        max(grid_of(f, 1).n for f in fams),
-    )
     cases = []
-    for i, (f, (lhs, lhs2)) in enumerate(zip(fams, lhs_pairs)):
+    for i, f in enumerate(fams):
+        lhs, lhs2 = (lhs_of(variation(f, seq, spec, grid_of(f, scale))) for scale in (1, 2))
         rhs = rhs_of(f)
         extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
         cases.append(CaseResult(f"fn{i:03d}", lhs, rhs, lhs / rhs, extra))
@@ -624,27 +598,21 @@ def _run_h1_l1(sc, th):
     per_scale = int(opts["atoms_per_scale"])
     cells = int(opts["atom_cells"])
     zp = int(opts["zone_points"])
-    jobs = [
-        (m, sidx, make_atom(Interval(0.0, 2.0**m), sc.seed + sidx, cells))
-        for m in exps
-        for sidx in range(per_scale)
-    ]
     # the atoms of one scale share their interval, so they share its zone cells
     zone = {(m, scale): _zone_cells(Interval(0.0, 2.0**m), seq, spec, scale * zp)
             for m in exps for scale in (1, 2)}
-
-    def l1_of(job, scale):
-        m, _, atom = job
-        x, widths = zone[m, scale]
-        return float(np.dot(variation_at(atom.fn, seq, spec, x), widths))
-
-    results = _refined(jobs, l1_of, max(zone[m, 1][0].size for m in exps))
     cases = []
     per_scale_sup: dict[int, float] = {}
-    for (m, sidx, atom), (base, fine) in zip(jobs, results):
-        extra = {"ratio_refined": fine, "scale": 2.0**m}
-        cases.append(CaseResult(f"scale{m:+03d}_seed{sidx:02d}", base, 1.0, base, extra))
-        per_scale_sup[m] = max(per_scale_sup.get(m, 0.0), base)
+    for m in exps:
+        for sidx in range(per_scale):
+            atom = make_atom(Interval(0.0, 2.0**m), sc.seed + sidx, cells)
+            base, fine = (
+                float(np.dot(variation_at(atom.fn, seq, spec, x), widths))
+                for x, widths in (zone[m, 1], zone[m, 2])
+            )
+            extra = {"ratio_refined": fine, "scale": 2.0**m}
+            cases.append(CaseResult(f"scale{m:+03d}_seed{sidx:02d}", base, 1.0, base, extra))
+            per_scale_sup[m] = max(per_scale_sup.get(m, 0.0), base)
     stab, checks = _stability(cases, th["stability_h1"])
     checks.append(
         _spread_check(
@@ -652,7 +620,7 @@ def _run_h1_l1(sc, th):
             per_scale_sup={str(m): v for m, v in sorted(per_scale_sup.items())},
         )
     )
-    return _Outcome(cases, checks, stab["base"], stab, {"atom_count": len(jobs)})
+    return _Outcome(cases, checks, stab["base"], stab, {"atom_count": len(cases)})
 
 
 def _run_l2_multiplier(sc, th):
@@ -970,7 +938,6 @@ _RUNNERS = {
 
 def run_scenario(sc: Scenario) -> VerificationReport:
     sc.validate()
-    _thread_cap()  # a malformed LACVAR_THREADS fails every kind alike
     th = {**DEFAULT_THRESHOLDS, **sc.thresholds}
     t0 = time.perf_counter()
     out = _RUNNERS[sc.kind](sc, th)

@@ -2,9 +2,8 @@
 
 One test per release criterion, each printing a single [PASS]/[FAIL] line so
 the verdicts survive quiet pytest runs.  Scenario reports are cached in
-_REPORTS and reused; criterion 13 re-runs every scenario from scratch at
-LACVAR_THREADS=1 and compares serialized bytes with the cached ones, which
-ran at the default thread cap.
+_REPORTS and reused; criterion 13 re-runs every scenario from scratch and
+compares serialized bytes with the cached ones.
 
 Criteria 02b and 05b assert the true forms of two claims whose strict
 forms fail: refinement dominates the variation only up to the Hoelder
@@ -290,17 +289,15 @@ def test_criterion_12_vector_valued_bound(capsys):
     assert rep.passed
 
 
-def test_criterion_13_reports_byte_deterministic(capsys, monkeypatch):
-    # the cached reports ran at the default thread cap; the re-run is serial
+def test_criterion_13_reports_byte_deterministic(capsys):
     first = {kind: emit_report(_report(kind), "json") for kind in SCENARIO_KINDS}
-    monkeypatch.setenv("LACVAR_THREADS", "1")
     mismatched = [
         kind for kind in SCENARIO_KINDS
         if emit_report(run_scenario(default_scenario(kind)), "json") != first[kind]
     ]
     _emit(
         capsys, not mismatched, "criterion 13",
-        f"{len(SCENARIO_KINDS)} scenarios re-run with the same seed at "
-        f"LACVAR_THREADS=1, mismatched reports: {mismatched or 'none'}",
+        f"{len(SCENARIO_KINDS)} scenarios re-run with the same seed, "
+        f"mismatched reports: {mismatched or 'none'}",
     )
     assert mismatched == []

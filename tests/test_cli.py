@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -138,19 +137,7 @@ def test_verify_config_file_and_csv(tmp_path):
     assert open(csv_out).readline().strip() == "case_id,lhs,rhs,ratio"
 
 
-# dr_condition measures no refined cases, so only run_scenario reads the cap
-@pytest.mark.parametrize("kind", ["weak_11", "dr_condition"])
-def test_verify_bad_thread_cap_names_the_variable(kind, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LACVAR_THREADS", "abc")
-    rc = main(["verify", "--scenario", kind, "--out", str(tmp_path / "rep.json")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "LACVAR_THREADS" in err and "'abc'" in err
-
-
-def test_threads_flag_is_a_usage_error(tmp_path, indicator_csv, capsys, monkeypatch):
-    # LACVAR_THREADS is the one thread setting; the CLI leaves it as it is
-    monkeypatch.setenv("LACVAR_THREADS", "1")
+def test_threads_flag_is_a_usage_error(tmp_path, indicator_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([
             "--threads", "4", "variation", "--input", indicator_csv,
@@ -158,7 +145,6 @@ def test_threads_flag_is_a_usage_error(tmp_path, indicator_csv, capsys, monkeypa
         ])
     assert exc.value.code == 2
     assert "usage: lacvar" in capsys.readouterr().err
-    assert os.environ["LACVAR_THREADS"] == "1"
 
 
 def test_verify_scenario_config_mismatch(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,6 +99,10 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "fourier_bound", "options": {"k_pair": [20, 40.5]}}, "k_pair"),
         ({"kind": "fourier_bound", "options": {"k_pair": [20, True]}}, "k_pair"),
         ({"kind": "fourier_bound", "options": {"k_pair": None}}, "k_pair"),
+        ({"kind": "dr_condition", "options": {"r_values": 5}}, "r_values"),
+        ({"kind": "fourier_bound", "options": {"xi_grid": 3}}, "xi_grid"),
+        ({"kind": "indicator_identity", "options": {"i_range": "a"}}, "i_range"),
+        ({"kind": "h1_l1", "options": {"atoms_per_scale": "x"}}, "atoms_per_scale"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -243,37 +247,29 @@ def test_report_rejects_unknown_format():
         emit_report(rep, "xml")
 
 
-# weak_11's kernel calls (8,193 points) stay in the loop; strong_pp's
-# (65,600 points, past one kernel chunk) run on the pool at cap 5
 @pytest.mark.parametrize(
     "config",
     [{"kind": "weak_11"}, {"kind": "strong_pp", "family": {"count": 4}}],
     ids=["weak_11", "strong_pp"],
 )
-def test_report_bytes_deterministic_across_thread_caps(config, monkeypatch):
+def test_report_bytes_deterministic_across_runs(config):
     sc = from_config(config)
-    monkeypatch.setenv("LACVAR_THREADS", "1")
-    a = emit_report(run_scenario(sc), "json")
-    monkeypatch.setenv("LACVAR_THREADS", "5")
-    b = emit_report(run_scenario(sc), "json")
-    assert a == b
+    assert emit_report(run_scenario(sc), "json") == emit_report(run_scenario(sc), "json")
 
 
-def test_thread_pool_only_for_calls_of_a_kernel_chunk(monkeypatch):
-    built = []
+def test_cases_run_on_the_calling_thread(monkeypatch):
+    # LACVAR_THREADS is not read: a pool used to run these 65,600-point calls on 4 workers
+    started = []
+    start = threading.Thread.start
 
-    class SpyPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def spy(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
-    monkeypatch.setenv("LACVAR_THREADS", "2")
-    for kind in ("weak_11", "h1_l1", "linf_bmo"):
-        run_scenario(default_scenario(kind))
-    assert built == []
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setenv("LACVAR_THREADS", "4")
     run_scenario(from_config({"kind": "strong_pp", "family": {"count": 4}}))
-    assert built == [2]
+    assert started == []
 
 
 def test_vector_valued_computes_each_variation_once(monkeypatch):
