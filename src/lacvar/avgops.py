@@ -11,9 +11,9 @@ interpolates only where the window's left end lies in the support: left of
 it the level is a plain quotient, and right of it the level and every
 difference up to that scale are zero, so those points are skipped.  Right
 of the support, where every window holds all of it or none of it, V_s f is
-flat between consecutive shifted supports: it is folded once per flat
-stretch and copied, and ascending points find their stretches and zones by
-binary search.
+flat between consecutive shifted supports: it is folded at one point per
+flat stretch and copied.  Points out of order are sorted once, so every
+chunk finds its stretches and zones by binary search.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarr
 
     A point x in a gap has x >= x1, so its upper primitive is the total
     integral, and at every scale it is in zone L or zone R: each gap is one
-    flat stretch of V_s f.  Its left edge lies in it and stands for it.
+    flat stretch of V_s f, and any point in it stands for all of them.
     """
     bounds = []
     end = x1
@@ -239,9 +239,10 @@ def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarr
     return np.array(bounds)
 
 
-def _fold(f: GridFunction, scales, s: float, x: np.ndarray, ends_l: list, starts_r: list) -> np.ndarray:
-    """V_s f at x, given each scale's zones L = x[:ends_l[k]] and
-    R = x[starts_r[k]:]."""
+def _fold(f: GridFunction, scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """V_s f at ascending x; zones L = x < below[k] and R = x >= above[k]."""
+    ends_l = np.searchsorted(x, below).tolist()
+    starts_r = np.searchsorted(x, above).tolist()
     upper = f.primitive_at(x)
     shifted = np.empty_like(x)
     level = np.zeros_like(x)
@@ -272,82 +273,68 @@ def _fold(f: GridFunction, scales, s: float, x: np.ndarray, ends_l: list, starts
     return acc
 
 
+def _variation_sorted(f: GridFunction, scales, s: float, x: np.ndarray) -> np.ndarray:
+    """V_s f at ascending x, where NaN may only come last and gives NaN."""
+    vals = np.empty(x.size, dtype=np.float64)
+    m = int(np.searchsorted(x, np.nan))
+    vals[m:] = np.nan
+    below, above = _zone_edges(f, scales)
+    bounds = _flat_stretches(f.x1, below, above)
+    for lo in range(0, m, _CHUNK):
+        # the chunk starts at the last point of the one before, which is
+        # done, so a flat stretch that goes on past it copies its value
+        start = max(lo - 1, 0)
+        xc = x[start : min(lo + _CHUNK, m)]
+        out = vals[start : start + xc.size]
+        # past the first point of each flat stretch, the points copy it;
+        # the spans between are folded
+        cuts = np.searchsorted(xc, bounds).tolist()
+        copied = [(a + 1, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 1]
+        ends = [lo - start, *(i for ab in copied for i in ab), xc.size]
+        spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+        if spans:
+            res = _fold(f, scales, s, np.concatenate([xc[a:b] for a, b in spans]), below, above)
+            for a, b in spans:
+                out[a:b], res = res[: b - a], res[b - a :]
+        for a, b in copied:
+            out[a:b] = out[a - 1]
+    return vals
+
+
 def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
     """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s).
 
-    The points are taken in chunks of _CHUNK and each scale is folded into
-    the running sum as soon as its level is known, so the scratch memory is
-    O(_CHUNK) whatever the number of scales; only the result is O(len(x)).
+    Input out of order or holding NaN is sorted by one stable argsort and
+    the result scattered back; NaN sorts last and gives NaN.  The sorted
+    points are taken in chunks of _CHUNK and each scale is folded into the
+    running sum as soon as its level is known, so the scratch memory is
+    O(_CHUNK) whatever the number of scales: only the result, and for input
+    out of order the sort, are O(len(x)).
 
-    At scale n a chunk falls into three zones, found on v = fl(x - n):
-    L, with v < f.x0, where the lower primitive is 0 and the level is
-    upper / n; M, where primitive_at interpolates; R, with v >= f.x1, where
-    the level is 0 at this scale and every smaller one, so the difference
-    and the fold are skipped there.  Right of the support, the points that
-    are in L or R at every scale and lie between the same two windows all
-    run the same float operations: V_s f is folded once for each such flat
-    stretch, at its left edge, and copied to the points in it.
-
-    An ascending NaN-free chunk, the order every caller in the package
-    passes, is cut by searchsorted: its flat stretches are filled from a
-    table of stretch values, and its other points are gathered and folded
-    in one call, with L a prefix and R a suffix of them at each scale.  The
-    first chunk that meets a flat stretch folds the stretches' left edges
-    along with its points to make the table.  Any other chunk takes L and
-    R from its running max from the left and running min from the right,
-    which hold for any point order, and folds every point.  A point gets
-    the same value on either path, so the result is the same bits for
-    every split and order.
+    At scale n a chunk falls into three zones, found on v = fl(x - n) by
+    binary search: L, a prefix with v < f.x0, where the lower primitive is
+    0 and the level is upper / n; M, where primitive_at interpolates; R, a
+    suffix with v >= f.x1, where the level is 0 at this scale and every
+    smaller one, so the difference and the fold are skipped there.  Right
+    of the support, the points that are in L or R at every scale and lie
+    between the same two windows run the same float operations: each such
+    flat stretch folds its first point in the chunk, or goes on from the
+    last point of the chunk before, and copies that value to the rest.  So
+    a point gets the same bits for every split and order.
     """
     spec.check_seq(seq)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     scales = seq.scales[: spec.k_max + 1]
-    below, above = _zone_edges(f, scales)
-    bounds = _flat_stretches(f.x1, below, above)
-    table = None  # V_s f on each flat stretch
-    vals = np.empty(x.size, dtype=np.float64)
-    for lo in range(0, x.size, _CHUNK):
-        xc = x[lo : lo + _CHUNK]
-        out = vals[lo : lo + _CHUNK]
-        # a lone NaN passes the pairwise test, so xc[0] is tested on its own
-        if not (xc[0] == xc[0] and np.all(xc[1:] >= xc[:-1])):
-            # L ends at the first point whose running max reaches t_L, R
-            # starts after the last point whose running min from the right
-            # is below t_R; NaN propagates through both runs, so a NaN
-            # point is in M
-            ends_l = np.searchsorted(np.maximum.accumulate(xc), below).tolist()
-            in_r = np.searchsorted(np.maximum.accumulate(-xc[::-1]), -above, side="right")
-            out[:] = _fold(f, scales, spec.s, xc, ends_l, (xc.size - in_r).tolist())
-            continue
-        cuts = np.searchsorted(xc, bounds).tolist()
-        stretches = list(zip(cuts[::2], cuts[1::2]))
-        flat = [(m, a, b) for m, (a, b) in enumerate(stretches) if a < b]
-        make = table is None and bool(flat)
-        # the points folded are the spans between the stretches that cut
-        # the chunk; to make the table, every stretch cuts it and its left
-        # edge is folded just after the span before it
-        cut_by = stretches if make else [(a, b) for _, a, b in flat]
-        ends = [0, *(i for ab in cut_by for i in ab), xc.size]
-        spans = list(zip(ends[::2], ends[1::2]))
-        if make:
-            table = []
-            xs = np.concatenate([p for m, (a, b) in enumerate(spans) for p in (xc[a:b], bounds[2 * m : 2 * m + 1])])
-        else:
-            parts = [xc[a:b] for a, b in spans if a < b]
-            xs = parts[0] if len(parts) == 1 else np.concatenate([xc[:0], *parts])
-        if xs.size:
-            ends_l = np.searchsorted(xs, below).tolist()
-            starts_r = np.searchsorted(xs, above).tolist()
-            res = _fold(f, scales, spec.s, xs, ends_l, starts_r)
-            j = 0
-            for m, (a, b) in enumerate(spans):
-                out[a:b] = res[j : j + b - a]
-                j += b - a
-                if make and m < len(cut_by):
-                    table.append(res[j])
-                    j += 1
-        for m, a, b in flat:
-            out[a:b] = table[m]
+    # ascending and NaN-free, checked a chunk at a time; a lone NaN passes
+    # the pairwise test, so each window's first point is tested alone
+    windows = (x[lo : lo + _CHUNK + 1] for lo in range(0, x.size, _CHUNK))
+    if all(w[0] == w[0] and np.all(w[1:] >= w[:-1]) for w in windows):
+        vals = _variation_sorted(f, scales, spec.s, x)
+    else:
+        order = np.argsort(x, kind="stable")
+        got = _variation_sorted(f, scales, spec.s, x[order])  # the sorted copy is freed here
+        vals = np.empty_like(got)
+        vals[order] = got
     _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(vals, initial=0.0)), spec, seq)
     return vals
 

@@ -78,13 +78,6 @@ def fprime(r):
     return complex(out[0]) if scalar else out
 
 
-def phi_hat(n: float, xi):
-    """Transform of the window profile at scale n: F(xi * n)."""
-    if not n > 0.0:
-        raise ValueError(f"window must be positive, got {n!r}")
-    return F_eval(np.asarray(xi, dtype=np.float64) * n)
-
-
 @dataclass(frozen=True, eq=False)
 class MultiplierScan:
     """Per-frequency multiplier sums over a truncated scale family.

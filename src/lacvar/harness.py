@@ -105,6 +105,42 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_whole(v, least: int = 1) -> bool:
+    return _is_real(v) and math.isfinite(v) and v == int(v) >= least
+
+
+def _is_list(v, ok, size: int = 0) -> bool:
+    """A non-empty list or tuple, of `size` items when it is given, that all pass ok."""
+    return isinstance(v, (list, tuple)) and len(v) == (size or len(v)) > 0 and all(map(ok, v))
+
+
+def _is_xi_grid(v) -> bool:
+    try:
+        return isinstance(v, str) and parse_xi_grid(v).size > 0
+    except ValueError:
+        return False
+
+
+_POSITIVE = ("a positive number", lambda v: _is_real(v) and 0.0 < v < math.inf)
+_COUNT = ("a positive integer", _is_whole)
+_INT_PAIR = ("two integers", lambda v: _is_list(v, _is_int, 2))
+
+# What each key of OPTION_KEYS must hold, and the test Scenario.validate puts
+# its value to.  `eval_h` may also be null, which asks for the default grid.
+OPTION_CHECKS = {
+    "eval_h": ("a positive number or null", lambda v: v is None or _POSITIVE[1](v)),
+    "scale_exps": ("a non-empty list of integers", lambda v: _is_list(v, _is_int)),
+    "atom_cells": ("an integer >= 2", lambda v: _is_whole(v, 2)),
+    "dual_r": ("a finite number", lambda v: _is_real(v) and math.isfinite(v)),
+    "r_values": ("a non-empty list of numbers >= 1", lambda v: _is_list(v, lambda r: _is_real(r) and r >= 1.0)),
+    "j": ("an integer >= 0", lambda v: _is_whole(v, 0)),
+    "xi_grid": ("a frequency grid literal log:<lo>:<hi>:<count>", _is_xi_grid),
+    "ap_min_len": _POSITIVE, "y": _POSITIVE, "k_pair": _INT_PAIR, "i_range": _INT_PAIR,
+    "eval_cells": _COUNT, "atoms_per_scale": _COUNT, "zone_points": _COUNT, "shell_l_max": _COUNT,
+    "sequence_count": _COUNT, "y_count": _COUNT, "x_count": _COUNT,
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One runnable verification experiment.
@@ -152,9 +188,8 @@ class Scenario:
                 parse_weight(self.weight)
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from exc
-        if self.kind == "vector_valued":
-            if not self.rho or any(not (_is_real(r) and r > 1.0) for r in self.rho):
-                raise ScenarioInvalid(f"vector_valued needs aggregation exponents rho > 1, got {self.rho!r}")
+        if self.kind == "vector_valued" and not _is_list(self.rho, lambda r: _is_real(r) and r > 1.0):
+            raise ScenarioInvalid(f"vector_valued needs aggregation exponents rho > 1, got {self.rho!r}")
         if "kind" in default.family and "kind" not in self.family:
             raise ScenarioInvalid(f"{self.kind} needs a function family")
         if "kind" in self.family:
@@ -171,24 +206,10 @@ class Scenario:
             raise ScenarioInvalid(f"unknown {self.kind} options: {sorted(unknown)}")
         if self.lambda_grid:
             raise ScenarioInvalid("lambda_grid is read by no scenario kind and must stay empty")
-        eval_h = self.options.get("eval_h")
-        if eval_h is not None and not (_is_real(eval_h) and 0.0 < eval_h < math.inf):
-            raise ScenarioInvalid(f"options.eval_h must be a positive number, got {eval_h!r}")
-        for key in ("eval_cells", "atoms_per_scale", "atom_cells", "zone_points",
-                    "y_count", "x_count", "sequence_count"):
-            n = self.options.get(key, 1)
-            if not (_is_real(n) and math.isfinite(n) and n == int(n) >= 1):
-                raise ScenarioInvalid(f"options.{key} must be a positive integer, got {n!r}")
-        for key in ("k_pair", "i_range"):
-            pair = self.options.get(key, (1, 1))
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))):
-                raise ScenarioInvalid(f"options.{key} must be two integers, got {pair!r}")
-        rs = self.options.get("r_values", (1.0,))
-        if not (isinstance(rs, (list, tuple)) and rs and all(_is_real(r) and r >= 1.0 for r in rs)):
-            raise ScenarioInvalid(f"options.r_values must be a non-empty list of numbers >= 1, got {rs!r}")
-        xi_grid = self.options.get("xi_grid", "")
-        if not isinstance(xi_grid, str):
-            raise ScenarioInvalid(f"options.xi_grid must be a frequency grid literal, got {xi_grid!r}")
+        for key, val in self.options.items():
+            what, ok = OPTION_CHECKS[key]
+            if not ok(val):
+                raise ScenarioInvalid(f"options.{key} must be {what}, got {val!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

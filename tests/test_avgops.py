@@ -402,10 +402,11 @@ def test_variation_interpolates_only_where_windows_cut_the_support(monkeypatch):
     st.sampled_from([1, 2, 3, 4, 5, 6, 7, None]),
 )
 def test_flat_stretches_match_stack_route_exactly(seed, s, chunk):
-    # right of the support V_s f is folded once per flat stretch and copied;
-    # the points sit on every zone threshold t_L, t_R and on x1, one ulp
-    # either side, and at +-inf.  The chunks are one ascending run, the same
-    # run with one pair swapped, and a lone NaN in a one-point chunk.
+    # right of the support V_s f is folded at the first point of each flat
+    # stretch in a chunk and copied; the points sit on every zone threshold
+    # t_L, t_R and on x1, one ulp either side, and at +-inf.  The ascending
+    # run is taken as it is; followed by the same run with one pair swapped
+    # and a NaN, it is sorted first, and its stretches are cut anew.
     rng = np.random.default_rng(seed)
     chunk = chunk or avgops._CHUNK
     cells = int(rng.integers(1, 40))
@@ -424,15 +425,13 @@ def test_flat_stretches_match_stack_route_exactly(seed, s, chunk):
     swapped = run.copy()
     i = int(rng.integers(0, run.size - 1))
     swapped[[i, i + 1]] = swapped[[i + 1, i]]
-
-    def whole_chunks(pts):
-        return np.concatenate([pts, np.full(-pts.size % chunk, np.inf)])
-
-    x = np.concatenate([whole_chunks(run), whole_chunks(swapped), [np.nan]])
+    x = np.concatenate([run, swapped, [np.nan]])
     want = oracle_variation_at(f, seq, spec, x)
     with mock.patch.object(avgops, "_CHUNK", chunk):
         got = variation_at(f, seq, spec, x)
+        alone = variation_at(f, seq, spec, run)
     assert got.tobytes() == want.tobytes()
+    assert alone.tobytes() == want[: run.size].tobytes()
 
 
 @given(
@@ -490,3 +489,25 @@ def test_variation_scratch_does_not_grow_with_scales():
     finally:
         tracemalloc.stop()
     assert peak < 3 * x.nbytes
+
+
+def test_variation_out_of_order_costs_one_sort():
+    # the same points shuffled, some of them NaN: the argsort, the sorted
+    # copy and the result in sorted order take about x.nbytes each, and the
+    # sorted copy is freed before the result is scattered
+    rng = np.random.default_rng(0)
+    f = GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64))
+    seq = parse_sequence("geometric:0.03125:2:16")
+    spec = _spec(k_max=15)
+    x = rng.permutation(np.linspace(-1.0, 1025.0, 1 << 18))
+    x[::1000] = np.nan
+    f.primitive_at(0.0)  # build the cached edge table outside the traced call
+    tracemalloc.start()
+    try:
+        got = variation_at(f, seq, spec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * x.nbytes
+    # NaN sorts last and is not folded; the scatter puts it back in place
+    assert np.array_equal(np.isnan(got), np.isnan(x))

@@ -16,7 +16,6 @@ from lacvar import (
     multiplier_tail,
     parse_sequence,
     parse_xi_grid,
-    phi_hat,
     sup_scan,
 )
 
@@ -74,11 +73,6 @@ def test_f_modulus_identity(r):
 @given(st.floats(min_value=-300.0, max_value=300.0))
 def test_f_conjugate_symmetry(r):
     assert complex(F_eval(-r)) == pytest.approx(complex(F_eval(r)).conjugate(), rel=1e-14, abs=1e-300)
-
-
-def test_phi_hat_scales_frequency():
-    xi = np.array([0.25, 1.5])
-    assert np.allclose(phi_hat(4.0, xi), F_eval(4.0 * xi))
 
 
 # -------------------------------------------------------------- derivative

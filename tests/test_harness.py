@@ -103,6 +103,16 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "fourier_bound", "options": {"xi_grid": 3}}, "xi_grid"),
         ({"kind": "indicator_identity", "options": {"i_range": "a"}}, "i_range"),
         ({"kind": "h1_l1", "options": {"atoms_per_scale": "x"}}, "atoms_per_scale"),
+        # values that each failed inside run_scenario when only their
+        # neighbours were checked
+        ({"kind": "fourier_bound", "options": {"xi_grid": "log:1:10"}}, "xi_grid"),
+        ({"kind": "h1_l1", "options": {"atom_cells": 1}}, "atom_cells"),
+        ({"kind": "dr_condition", "options": {"j": "x"}}, "options.j"),
+        ({"kind": "h1_l1", "options": {"scale_exps": 3}}, "scale_exps"),
+        ({"kind": "dr_condition", "options": {"shell_l_max": 0}}, "shell_l_max"),
+        ({"kind": "dr_condition", "options": {"y": -1.0}}, "options.y"),
+        ({"kind": "weighted_weak11", "options": {"dual_r": "a"}}, "dual_r"),
+        ({"kind": "weighted_pp", "options": {"ap_min_len": -1}}, "ap_min_len"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -114,6 +124,8 @@ def test_from_config_rejects_unknown_fields():
     from_config({"kind": "strong_pp", "seed": 7, "k_max": 3})
     from_config({"kind": "strong_pp", "k_max": None})
     from_config({"kind": "fourier_bound", "options": {"k_pair": (5, 10)}})
+    from_config({"kind": "strong_pp", "options": {"eval_h": None}})
+    assert set(harness.OPTION_CHECKS) == {key for keys in harness.OPTION_KEYS.values() for key in keys}
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
 
