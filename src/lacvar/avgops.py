@@ -189,8 +189,6 @@ def default_eval_grid(f: GridFunction, seq: LacunarySeq, k_max: int, h: float | 
 
 
 def _tail_gate(tail: float, sup_val: float, spec: VariationSpec, seq: LacunarySeq) -> None:
-    if not spec.enforce_tail:
-        return
     tol = spec.tail_tol * sup_val
     if tail <= tol:
         return
@@ -335,7 +333,8 @@ def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> n
         got = _variation_sorted(f, scales, spec.s, x[order])  # the sorted copy is freed here
         vals = np.empty_like(got)
         vals[order] = got
-    _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(vals, initial=0.0)), spec, seq)
+    if spec.enforce_tail:
+        _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(vals, initial=0.0)), spec, seq)
     return vals
 
 

@@ -20,10 +20,12 @@ the default relative gate would simply refuse every desk-scale run.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
 from dataclasses import dataclass, field, asdict, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,26 +55,6 @@ from .lacunary import LacunarySeq, gamma, parse_sequence, refine
 from .weights import ap_constant, a1_constant, parse_weight, Weight
 
 SCHEMA_VERSION = "lacvar-report/1"
-
-# The `options` keys each scenario kind's runner reads.  `eval_h` is the
-# eval-grid step of the kinds that measure on the default grid;
-# `l2_multiplier` sizes its grid by `eval_cells` instead.
-OPTION_KEYS = {
-    "strong_pp": ("eval_h",),
-    "weak_11": ("eval_h",),
-    "h1_l1": ("scale_exps", "atoms_per_scale", "atom_cells", "zone_points"),
-    "linf_bmo": ("eval_h",),
-    "l2_multiplier": ("eval_cells", "xi_grid"),
-    "weighted_pp": ("eval_h", "ap_min_len"),
-    "weighted_weak11": ("eval_h", "dual_r"),
-    "vector_valued": ("eval_h",),
-    "refine_domination": ("sequence_count",),
-    "dr_condition": ("r_values", "j", "i_range", "y", "shell_l_max"),
-    "fourier_bound": ("xi_grid", "k_pair"),
-    "indicator_identity": ("i_range", "y_count", "x_count"),
-}
-
-SCENARIO_KINDS = tuple(OPTION_KEYS)
 
 DEFAULT_THRESHOLDS = {
     "stability": 0.10,
@@ -125,11 +107,12 @@ _POSITIVE = ("a positive number", lambda v: _is_real(v) and 0.0 < v < math.inf)
 _COUNT = ("a positive integer", _is_whole)
 _INT_PAIR = ("two integers", lambda v: _is_list(v, _is_int, 2))
 
-# What each key of OPTION_KEYS must hold, and the test Scenario.validate puts
-# its value to.  `eval_h` may also be null, which asks for the default grid.
+# What each `options` key of KINDS must hold, and the test Scenario.validate
+# puts its value to.  `eval_h` may also be null, which asks for the default
+# grid; `scale_exps` stays where 2.0**m and 2.0**-m are finite and nonzero.
 OPTION_CHECKS = {
     "eval_h": ("a positive number or null", lambda v: v is None or _POSITIVE[1](v)),
-    "scale_exps": ("a non-empty list of integers", lambda v: _is_list(v, _is_int)),
+    "scale_exps": ("a non-empty list of integers in -1022..1022", lambda v: _is_list(v, lambda m: _is_int(m) and abs(m) <= 1022)),
     "atom_cells": ("an integer >= 2", lambda v: _is_whole(v, 2)),
     "dual_r": ("a finite number", lambda v: _is_real(v) and math.isfinite(v)),
     "r_values": ("a non-empty list of numbers >= 1", lambda v: _is_list(v, lambda r: _is_real(r) and r >= 1.0)),
@@ -178,19 +161,19 @@ class Scenario:
             raise ScenarioInvalid(f"seed must be an integer, got {self.seed!r}")
         if self.k_max is not None and not (_is_int(self.k_max) and self.k_max >= 1):
             raise ScenarioInvalid(f"k_max must be null or an integer >= 1, got {self.k_max!r}")
-        default = default_scenario(self.kind)
-        if default.p is not None and self.p is None:
+        defaults = KINDS[self.kind].defaults
+        if "p" in defaults and self.p is None:
             raise ScenarioInvalid(f"{self.kind} needs p")
-        if self.kind.startswith("weighted") and not self.weight:
+        if "weight" in defaults and not self.weight:
             raise ScenarioInvalid(f"{self.kind} needs a weight literal")
         if self.weight is not None:
             try:
                 parse_weight(self.weight)
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from exc
-        if self.kind == "vector_valued" and not _is_list(self.rho, lambda r: _is_real(r) and r > 1.0):
-            raise ScenarioInvalid(f"vector_valued needs aggregation exponents rho > 1, got {self.rho!r}")
-        if "kind" in default.family and "kind" not in self.family:
+        if "rho" in defaults and not _is_list(self.rho, lambda r: _is_real(r) and r > 1.0):
+            raise ScenarioInvalid(f"{self.kind} needs aggregation exponents rho > 1, got {self.rho!r}")
+        if "family" in defaults and "kind" not in self.family:
             raise ScenarioInvalid(f"{self.kind} needs a function family")
         if "kind" in self.family:
             params = {k: v for k, v in self.family.items() if k != "kind"}
@@ -201,7 +184,7 @@ class Scenario:
         unknown = set(self.thresholds) - set(DEFAULT_THRESHOLDS)
         if unknown:
             raise ScenarioInvalid(f"unknown thresholds: {sorted(unknown)}")
-        unknown = set(self.options) - set(OPTION_KEYS[self.kind])
+        unknown = set(self.options) - set(KINDS[self.kind].options)
         if unknown:
             raise ScenarioInvalid(f"unknown {self.kind} options: {sorted(unknown)}")
         if self.lambda_grid:
@@ -210,76 +193,30 @@ class Scenario:
             what, ok = OPTION_CHECKS[key]
             if not ok(val):
                 raise ScenarioInvalid(f"options.{key} must be {what}, got {val!r}")
+        try:
+            last = len(parse_sequence(self.seq, self.beta)) - 1
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioInvalid(f"seq={self.seq!r} with beta={self.beta!r}: {exc}") from exc
+        if self.k_max is not None and self.k_max > last:
+            raise ScenarioInvalid(f"k_max must be at most {last}, the last index of seq, got {self.k_max!r}")
+        # the options that index scales of seq
+        for key, what, ok in (
+            ("j", f"at most {last}", lambda j: j <= last),
+            ("k_pair", f"two indices in 1..{last}", lambda ks: all(1 <= k <= last for k in ks)),
+            ("i_range", f"[lo, hi] with 0 <= lo <= hi < {last}", lambda r: 0 <= r[0] <= r[1] < last),
+        ):
+            if key in self.options and not ok(self.options[key]):
+                raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {self.options[key]!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def default_scenario(kind: str) -> Scenario:
-    """The documented defaults for each scenario kind (desk-scale budgets)."""
-    base = {
-        "strong_pp": Scenario(
-            kind, seq="geometric:0.03125:2:16", p=2.0,
-            family={"kind": "random_step", "count": 20, "cells": 64, "length": 1.0},
-        ),
-        "weak_11": Scenario(
-            kind, seq="geometric:1:2:10",
-            family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
-            options={"eval_h": 0.0625},
-        ),
-        "h1_l1": Scenario(
-            kind, seq="geometric:0.00006103515625:2:30",
-            options={
-                "scale_exps": list(range(-5, 6)),
-                "atoms_per_scale": 20,
-                "atom_cells": 32,
-                "zone_points": 48,
-            },
-        ),
-        "linf_bmo": Scenario(
-            kind, seq="geometric:0.03125:2:9",
-            family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0},
-        ),
-        "l2_multiplier": Scenario(
-            kind, seq="geometric:0.015625:2:13", p=2.0,
-            family={"kind": "random_step", "count": 100, "cells": 64, "length": 1.0},
-            options={"eval_cells": 65536, "xi_grid": "log:1e-6:1e6:8192"},
-        ),
-        "weighted_pp": Scenario(
-            kind, seq="geometric:0.0625:2:10", p=2.0, weight="power:0.5",
-            family={"kind": "random_step", "count": 10, "cells": 64, "length": 2.0, "x0": -1.0},
-            options={"ap_min_len": 0.0625},
-        ),
-        "weighted_weak11": Scenario(
-            kind, seq="geometric:1:2:10", weight="power:-0.25",
-            family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
-            options={"eval_h": 0.0625, "dual_r": 2.0},
-        ),
-        "vector_valued": Scenario(
-            kind, seq="geometric:0.03125:2:16", p=2.0, rho=(1.5, 2.0, 3.0),
-            family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0},
-        ),
-        "refine_domination": Scenario(
-            kind, seq=(1.0, 8.0), beta=2.0,
-            family={"kind": "random_step", "count": 20, "cells": 32, "length": 1.0},
-            options={"sequence_count": 500},
-        ),
-        "dr_condition": Scenario(
-            kind, seq="geometric:1:2:24",
-            options={"r_values": [1.0, 2.0], "j": 0, "i_range": [1, 8], "shell_l_max": 20},
-        ),
-        "fourier_bound": Scenario(
-            kind, seq="geometric:1:2:41",
-            options={"xi_grid": "log:1e-6:1e6:8192", "k_pair": [20, 40]},
-        ),
-        "indicator_identity": Scenario(
-            kind, seq="geometric:1:2:12",
-            options={"i_range": [1, 8], "y_count": 16, "x_count": 64},
-        ),
-    }.get(kind)
-    if base is None:
+    """The documented defaults of one scenario kind (desk-scale budgets)."""
+    if kind not in KINDS:
         raise ScenarioInvalid(f"unknown scenario kind {kind!r}")
-    return base
+    return Scenario(kind, **copy.deepcopy(KINDS[kind].defaults))
 
 
 def from_config(config: dict) -> Scenario:
@@ -346,22 +283,6 @@ class VerificationReport:
     elapsed_s: float = 0.0
 
 
-def _to_builtin(x):
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.ndarray):
-        return [_to_builtin(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {str(k): _to_builtin(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_builtin(v) for v in x]
-    return x
-
-
 def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
     if format == "json":
         doc = {
@@ -380,7 +301,7 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
             "seed": rep.seed,
             "passed": rep.passed,
         }
-        return (json.dumps(_to_builtin(doc), sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(doc, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n").encode()
     if format == "csv":
         lines = ["case_id,lhs,rhs,ratio"]
         lines += [f"{c.case_id},{c.lhs:.17g},{c.rhs:.17g},{c.ratio:.17g}" for c in rep.cases]
@@ -941,27 +862,63 @@ def _run_indicator_identity(sc, th):
     return _Outcome(cases, checks, float(total_viol), constants={"gamma": g})
 
 
-_RUNNERS = {
-    "strong_pp": _run_strong_pp,
-    "weak_11": _run_weak_11,
-    "h1_l1": _run_h1_l1,
-    "linf_bmo": _run_linf_bmo,
-    "l2_multiplier": _run_l2_multiplier,
-    "weighted_pp": _run_weighted_pp,
-    "weighted_weak11": _run_weighted_weak11,
-    "vector_valued": _run_vector_valued,
-    "refine_domination": _run_refine_domination,
-    "dr_condition": _run_dr_condition,
-    "fourier_bound": _run_fourier_bound,
-    "indicator_identity": _run_indicator_identity,
+class _Kind(NamedTuple):
+    run: Callable  # (scenario, thresholds) -> _Outcome
+    options: tuple  # the `options` keys run reads
+    defaults: dict  # the Scenario fields other than kind, at desk-scale budgets
+
+
+# Each scenario kind, once.  `eval_h` is the eval-grid step of the kinds that
+# measure on the default grid; `l2_multiplier` sizes its grid by `eval_cells`.
+KINDS = {
+    "strong_pp": _Kind(_run_strong_pp, ("eval_h",), dict(
+        seq="geometric:0.03125:2:16", p=2.0,
+        family={"kind": "random_step", "count": 20, "cells": 64, "length": 1.0})),
+    "weak_11": _Kind(_run_weak_11, ("eval_h",), dict(
+        seq="geometric:1:2:10", family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
+        options={"eval_h": 0.0625})),
+    "h1_l1": _Kind(_run_h1_l1, ("scale_exps", "atoms_per_scale", "atom_cells", "zone_points"), dict(
+        seq="geometric:0.00006103515625:2:30",
+        options={"scale_exps": list(range(-5, 6)), "atoms_per_scale": 20, "atom_cells": 32, "zone_points": 48})),
+    "linf_bmo": _Kind(_run_linf_bmo, ("eval_h",), dict(
+        seq="geometric:0.03125:2:9",
+        family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0})),
+    "l2_multiplier": _Kind(_run_l2_multiplier, ("eval_cells", "xi_grid"), dict(
+        seq="geometric:0.015625:2:13", p=2.0,
+        family={"kind": "random_step", "count": 100, "cells": 64, "length": 1.0},
+        options={"eval_cells": 65536, "xi_grid": "log:1e-6:1e6:8192"})),
+    "weighted_pp": _Kind(_run_weighted_pp, ("eval_h", "ap_min_len"), dict(
+        seq="geometric:0.0625:2:10", p=2.0, weight="power:0.5",
+        family={"kind": "random_step", "count": 10, "cells": 64, "length": 2.0, "x0": -1.0},
+        options={"ap_min_len": 0.0625})),
+    "weighted_weak11": _Kind(_run_weighted_weak11, ("eval_h", "dual_r"), dict(
+        seq="geometric:1:2:10", weight="power:-0.25",
+        family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
+        options={"eval_h": 0.0625, "dual_r": 2.0})),
+    "vector_valued": _Kind(_run_vector_valued, ("eval_h",), dict(
+        seq="geometric:0.03125:2:16", p=2.0, rho=(1.5, 2.0, 3.0),
+        family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0})),
+    "refine_domination": _Kind(_run_refine_domination, ("sequence_count",), dict(
+        seq=(1.0, 8.0), beta=2.0,
+        family={"kind": "random_step", "count": 20, "cells": 32, "length": 1.0},
+        options={"sequence_count": 500})),
+    "dr_condition": _Kind(_run_dr_condition, ("r_values", "j", "i_range", "y", "shell_l_max"), dict(
+        seq="geometric:1:2:24",
+        options={"r_values": [1.0, 2.0], "j": 0, "i_range": [1, 8], "shell_l_max": 20})),
+    "fourier_bound": _Kind(_run_fourier_bound, ("xi_grid", "k_pair"), dict(
+        seq="geometric:1:2:41", options={"xi_grid": "log:1e-6:1e6:8192", "k_pair": [20, 40]})),
+    "indicator_identity": _Kind(_run_indicator_identity, ("i_range", "y_count", "x_count"), dict(
+        seq="geometric:1:2:12", options={"i_range": [1, 8], "y_count": 16, "x_count": 64})),
 }
+
+SCENARIO_KINDS = tuple(KINDS)
 
 
 def run_scenario(sc: Scenario) -> VerificationReport:
     sc.validate()
     th = {**DEFAULT_THRESHOLDS, **sc.thresholds}
     t0 = time.perf_counter()
-    out = _RUNNERS[sc.kind](sc, th)
+    out = KINDS[sc.kind].run(sc, th)
     elapsed = time.perf_counter() - t0
     return VerificationReport(
         kind=sc.kind,

@@ -247,6 +247,19 @@ def test_tail_gate_waived_by_flag():
     variation_at(f, seq, spec, np.array([0.5]))  # must not raise
 
 
+def test_waived_tail_gate_skips_the_tail_bound(monkeypatch):
+    # the bound is a pass over f and the gate a pass over the result: both
+    # are work for nothing when the gate is off
+    def refuse(*args):
+        raise AssertionError("tail_bound evaluated with the gate off")
+
+    monkeypatch.setattr(avgops, "tail_bound", refuse)
+    f = GridFunction(0.0, 0.125, np.ones(8))
+    spec = VariationSpec(s=2.0, k_max=4, enforce_tail=False)
+    vals = variation_at(f, parse_sequence("geometric:1:2:6"), spec, np.array([0.5, 3.0]))
+    assert np.all(vals > 0.0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         VariationSpec(s=0.5, k_max=1)
