@@ -13,7 +13,10 @@ difference up to that scale are zero, so those points are skipped.  Right
 of the support, where every window holds all of it or none of it, V_s f is
 flat between consecutive shifted supports: it is folded at one point per
 flat stretch and copied.  Points out of order are sorted once, so every
-chunk finds its stretches and zones by binary search.
+chunk finds its stretches and zones by binary search.  `variations_at`
+folds several functions on one grid at once: the zones, stretches and
+chunk cuts are found once for all of them, and each step of the fold is
+one array operation over every row; `variation_at` is its one-row case.
 """
 
 from __future__ import annotations
@@ -237,53 +240,62 @@ def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarr
     return np.array(bounds)
 
 
-def _fold(f: GridFunction, scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """V_s f at ascending x; zones L = x < below[k] and R = x >= above[k]."""
+def _fold(fs: list[GridFunction], scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """V_s f at ascending x, one row per f; zones L = x < below[k] and R = x >= above[k]."""
     ends_l = np.searchsorted(x, below).tolist()
     starts_r = np.searchsorted(x, above).tolist()
-    upper = f.primitive_at(x)
+    shape = (len(fs), x.size)
+    upper = np.empty(shape)
+    for row, f in zip(upper, fs):
+        row[:] = f.primitive_at(x)
     shifted = np.empty_like(x)
-    level = np.zeros_like(x)
-    prev = np.zeros_like(x)
-    acc = np.zeros_like(x)
-    comp = np.zeros_like(x)
-    big = np.empty_like(x)
+    level = np.zeros(shape)
+    prev = np.zeros(shape)
+    acc = np.zeros(shape)
+    comp = np.zeros(shape)
+    big = np.empty(shape)
     for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
         if a:
             # (upper - 0.0) / n is upper / n bit for bit
-            np.divide(upper[:a], n, out=level[:a])
+            np.divide(upper[:, :a], n, out=level[:, :a])
         if a < b:
-            lower = f.primitive_at(np.subtract(x[a:b], n, out=shifted[a:b]))
-            np.subtract(upper[a:b], lower, out=lower)
-            np.divide(lower, n, out=level[a:b])
+            # the lower primitives go in big, which is scratch until the fold
+            np.subtract(x[a:b], n, out=shifted[a:b])
+            lower = big[:, a:b]
+            for row, f in zip(lower, fs):
+                row[:] = f.primitive_at(shifted[a:b])
+            np.subtract(upper[:, a:b], lower, out=lower)
+            np.divide(lower, n, out=level[:, a:b])
         if k and b:
             # a point past b is in R here and at every smaller scale:
             # whatever the buffers took there came out +0.0, its term
             # would be |0 - 0|**s = 0, and folding a zero leaves acc and
             # comp bit-unchanged
-            diff = prev[:b]
-            np.subtract(level[:b], diff, out=diff)
+            diff = prev[:, :b]
+            np.subtract(level[:, :b], diff, out=diff)
             np.abs(diff, out=diff)
-            _fold_power(acc[:b], comp[:b], diff, s, big[:b])
+            _fold_power(acc[:, :b], comp[:, :b], diff, s, big[:, :b])
         level, prev = prev, level
     acc += comp
     acc **= 1.0 / s
     return acc
 
 
-def _variation_sorted(f: GridFunction, scales, s: float, x: np.ndarray) -> np.ndarray:
-    """V_s f at ascending x, where NaN may only come last and gives NaN."""
-    vals = np.empty(x.size, dtype=np.float64)
+def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -> np.ndarray:
+    """V_s f at ascending x, one row per f, where NaN may only come last and gives NaN."""
+    vals = np.empty((len(fs), x.size), dtype=np.float64)
     m = int(np.searchsorted(x, np.nan))
-    vals[m:] = np.nan
-    below, above = _zone_edges(f, scales)
-    bounds = _flat_stretches(f.x1, below, above)
-    for lo in range(0, m, _CHUNK):
+    vals[:, m:] = np.nan
+    # the functions share a grid, so they share the zones and the stretches
+    below, above = _zone_edges(fs[0], scales)
+    bounds = _flat_stretches(fs[0].x1, below, above)
+    chunk = max(1, _CHUNK // len(fs))
+    for lo in range(0, m, chunk):
         # the chunk starts at the last point of the one before, which is
         # done, so a flat stretch that goes on past it copies its value
         start = max(lo - 1, 0)
-        xc = x[start : min(lo + _CHUNK, m)]
-        out = vals[start : start + xc.size]
+        xc = x[start : min(lo + chunk, m)]
+        out = vals[:, start : start + xc.size]
         # past the first point of each flat stretch, the points copy it;
         # the spans between are folded
         cuts = np.searchsorted(xc, bounds).tolist()
@@ -291,35 +303,51 @@ def _variation_sorted(f: GridFunction, scales, s: float, x: np.ndarray) -> np.nd
         ends = [lo - start, *(i for ab in copied for i in ab), xc.size]
         spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
         if spans:
-            res = _fold(f, scales, s, np.concatenate([xc[a:b] for a, b in spans]), below, above)
+            res = _fold(fs, scales, s, np.concatenate([xc[a:b] for a, b in spans]), below, above)
+            at = 0
             for a, b in spans:
-                out[a:b], res = res[: b - a], res[b - a :]
+                out[:, a:b] = res[:, at : at + b - a]
+                at += b - a
         for a, b in copied:
-            out[a:b] = out[a - 1]
+            out[:, a:b] = out[:, a - 1 : a]
     return vals
 
 
-def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
-    """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s).
+def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
+    """V_s f for each f of fs at arbitrary points: row i is V_s fs[i].
+
+    The functions must share one grid (GridMismatch otherwise).  Everything
+    that depends only on the grid and the points is done once for all of
+    them: the order check, the zone edges, the flat stretches and the chunk
+    cuts.  Each elementwise step of the fold is one call over every row;
+    only the interpolation of each function's primitive is per row.
 
     Input out of order or holding NaN is sorted by one stable argsort and
     the result scattered back; NaN sorts last and gives NaN.  The sorted
-    points are taken in chunks of _CHUNK and each scale is folded into the
-    running sum as soon as its level is known, so the scratch memory is
-    O(_CHUNK) whatever the number of scales: only the result, and for input
-    out of order the sort, are O(len(x)).
+    points are taken in chunks of _CHUNK // len(fs) and each scale is
+    folded into the running sums as soon as its levels are known, so the
+    scratch memory is O(_CHUNK) whatever the number of scales and
+    functions: only the result, and for input out of order the sort, grow
+    with len(x).
 
     At scale n a chunk falls into three zones, found on v = fl(x - n) by
-    binary search: L, a prefix with v < f.x0, where the lower primitive is
+    binary search: L, a prefix with v < x0, where the lower primitive is
     0 and the level is upper / n; M, where primitive_at interpolates; R, a
-    suffix with v >= f.x1, where the level is 0 at this scale and every
+    suffix with v >= x1, where the level is 0 at this scale and every
     smaller one, so the difference and the fold are skipped there.  Right
     of the support, the points that are in L or R at every scale and lie
     between the same two windows run the same float operations: each such
     flat stretch folds its first point in the chunk, or goes on from the
     last point of the chunk before, and copies that value to the rest.  So
-    a point gets the same bits for every split and order.
+    a point gets the same bits for every split, order and batch.
+
+    When spec.enforce_tail is on, each row is held to the tail gate in
+    turn, and the first that fails raises TailTooLarge.
     """
+    if not fs:
+        raise ValueError("need at least one function")
+    for g in fs[1:]:
+        require_same_grid(fs[0], g)
     spec.check_seq(seq)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     scales = seq.scales[: spec.k_max + 1]
@@ -327,15 +355,24 @@ def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> n
     # the pairwise test, so each window's first point is tested alone
     windows = (x[lo : lo + _CHUNK + 1] for lo in range(0, x.size, _CHUNK))
     if all(w[0] == w[0] and np.all(w[1:] >= w[:-1]) for w in windows):
-        vals = _variation_sorted(f, scales, spec.s, x)
+        vals = _variation_sorted(fs, scales, spec.s, x)
     else:
         order = np.argsort(x, kind="stable")
-        got = _variation_sorted(f, scales, spec.s, x[order])  # the sorted copy is freed here
+        got = _variation_sorted(fs, scales, spec.s, x[order])  # the sorted copy is freed here
         vals = np.empty_like(got)
-        vals[order] = got
+        vals[:, order] = got
     if spec.enforce_tail:
-        _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(vals, initial=0.0)), spec, seq)
+        for f, row in zip(fs, vals):
+            _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(row, initial=0.0)), spec, seq)
     return vals
+
+
+def variation_at(f: GridFunction, seq: LacunarySeq, spec: VariationSpec, x) -> np.ndarray:
+    """V_s f at arbitrary points: (sum_{k=1..k_max} |A_{n_k}f - A_{n_{k-1}}f|^s)^(1/s).
+
+    The one-row case of variations_at, which describes the kernel.
+    """
+    return variations_at([f], seq, spec, x)[0]
 
 
 def variation(

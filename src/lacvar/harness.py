@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variation_at, vector_variations
+from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variations_at, vector_variations
 from .fourier import multiplier_tail, parse_xi_grid, sup_scan
 from .gridfn import (
     BadParams,
@@ -44,13 +44,7 @@ from .gridfn import (
     make_family,
     sup_norm,
 )
-from .kernel import (
-    IdentityViolated,
-    KernelSpec,
-    drlem_check,
-    indicator_identity,
-    shell_integrals,
-)
+from .kernel import KernelSpec, drlem_check, indicator_identity_counts, shell_integrals
 from .lacunary import LacunarySeq, gamma, parse_sequence, refine
 from .weights import ap_constant, a1_constant, parse_weight, Weight
 
@@ -194,16 +188,23 @@ class Scenario:
             if not ok(val):
                 raise ScenarioInvalid(f"options.{key} must be {what}, got {val!r}")
         try:
-            last = len(parse_sequence(self.seq, self.beta)) - 1
+            scales = parse_sequence(self.seq, self.beta).scales
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioInvalid(f"seq={self.seq!r} with beta={self.beta!r}: {exc}") from exc
+        last = len(scales) - 1
         if self.k_max is not None and self.k_max > last:
             raise ScenarioInvalid(f"k_max must be at most {last}, the last index of seq, got {self.k_max!r}")
-        # the options that index scales of seq
+        top = scales[last if self.k_max is None else self.k_max]
+        # dr_condition fits a decay slope over i_range, which needs two indices
+        two = self.kind == "dr_condition"
+        # the options that are read against the scales of seq
         for key, what, ok in (
             ("j", f"at most {last}", lambda j: j <= last),
             ("k_pair", f"two indices in 1..{last}", lambda ks: all(1 <= k <= last for k in ks)),
-            ("i_range", f"[lo, hi] with 0 <= lo <= hi < {last}", lambda r: 0 <= r[0] <= r[1] < last),
+            ("i_range", f"[lo, hi] with 0 <= lo {'<' if two else '<='} hi < {last}",
+             lambda r: 0 <= r[0] <= r[1] - two and r[1] < last),
+            ("scale_exps", f"exponents m with n_0 <= 2**m <= n_k_max, from {scales[0]!r} to {top!r}",
+             lambda ms: all(scales[0] <= 2.0**m <= top for m in ms)),
         ):
             if key in self.options and not ok(self.options[key]):
                 raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {self.options[key]!r}")
@@ -546,12 +547,13 @@ def _run_h1_l1(sc, th):
     cases = []
     per_scale_sup: dict[int, float] = {}
     for m in exps:
-        for sidx in range(per_scale):
-            atom = make_atom(Interval(0.0, 2.0**m), sc.seed + sidx, cells)
-            base, fine = (
-                float(np.dot(variation_at(atom.fn, seq, spec, x), widths))
-                for x, widths in (zone[m, 1], zone[m, 2])
-            )
+        # the atoms of one scale share their grid too: one batched call per zone grid
+        fns = [make_atom(Interval(0.0, 2.0**m), sc.seed + sidx, cells).fn for sidx in range(per_scale)]
+        base_l1, fine_l1 = (
+            [float(np.dot(row, widths)) for row in variations_at(fns, seq, spec, x)]
+            for x, widths in (zone[m, 1], zone[m, 2])
+        )
+        for sidx, (base, fine) in enumerate(zip(base_l1, fine_l1)):
             extra = {"ratio_refined": fine, "scale": 2.0**m}
             cases.append(CaseResult(f"scale{m:+03d}_seed{sidx:02d}", base, 1.0, base, extra))
             per_scale_sup[m] = max(per_scale_sup.get(m, 0.0), base)
@@ -840,15 +842,10 @@ def _run_indicator_identity(sc, th):
             ni, ni1 = seq.scales[i], seq.scales[i + 1]
             ys = nj * (np.arange(1, y_count + 1) / y_count)
             xs = ni + (ni1 - ni) * ((np.arange(x_count) + 0.5) / x_count)
-            for yv in ys:
-                for xv in xs:
-                    samples += 1
-                    try:
-                        res = indicator_identity(i, j, float(yv), float(xv), seq)
-                        if res == "equals_ni_window":
-                            window_hits += 1
-                    except IdentityViolated:
-                        violations += 1
+            hits, bad = indicator_identity_counts(i, j, ys, xs, seq)
+            samples += ys.size * xs.size
+            window_hits += hits
+            violations += bad
         total_viol += violations
         cases.append(
             CaseResult(

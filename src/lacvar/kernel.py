@@ -159,18 +159,31 @@ class DrCheck:
     c_alt: float
 
 
-def _check_pair_preconditions(i: int, j: int, y: float, seq: LacunarySeq, k_max: int) -> None:
+def _check_pair_preconditions(i: int, j: int, y, seq: LacunarySeq, k_max: int) -> None:
+    """Raise PreconditionViolated unless (i, j) is a gap pair within k_max
+    and every y, a number or an array, lies in (0, n_j]."""
     g = gamma(seq.beta)
     if j < 0 or i < j + g:
         raise PreconditionViolated(
             f"need i >= j + {g} (the gap exponent for beta={seq.beta!r}), got i={i}, j={j}"
         )
-    if not 0.0 < y <= seq.scales[j]:
-        raise PreconditionViolated(f"need 0 < y <= n_j = {seq.scales[j]!r}, got y={y!r}")
+    _require_all((0.0 < y) & (y <= seq.scales[j]), "y", y, f"0 < y <= n_j = {seq.scales[j]!r}")
     if i + 1 > k_max:
         raise PreconditionViolated(
             f"need scales through index {i + 1}; truncation is {k_max}"
         )
+
+
+def _require_all(ok, name: str, v, what: str) -> None:
+    """Raise PreconditionViolated naming the first item of v where ok is false."""
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        raise PreconditionViolated(f"need {what}, got {name}={float(np.ravel(v)[bad[0]])!r}")
+
+
+def _check_x_inside(i: int, x, seq: LacunarySeq) -> None:
+    ni, ni1 = seq.scales[i], seq.scales[i + 1]
+    _require_all((ni < x) & (x < ni1), "x", x, f"n_i < x < n_(i+1) = ({ni!r}, {ni1!r})")
 
 
 def drlem_check(i: int, j: int, y: float, spec: KernelSpec, r: float) -> DrCheck:
@@ -208,14 +221,11 @@ def indicator_identity(i: int, j: int, y: float, x: float, seq: LacunarySeq) -> 
     ind_(y, y+n_k)(x) - ind_(0, n_k)(x) must vanish for every k except
     k = i, where it must equal ind_(n_i, y+n_i)(x).  Returns "zero" or
     "equals_ni_window" describing which case the k = i term landed in.
-    All indicators use open intervals; the comparison is exact.
+    All indicators use open intervals; the comparison is exact.  This is
+    the scalar oracle of indicator_identity_counts.
     """
     _check_pair_preconditions(i, j, y, seq, len(seq) - 1)
-    if not seq.scales[i] < x < seq.scales[i + 1]:
-        raise PreconditionViolated(
-            f"need n_i < x < n_(i+1), got x={x!r} outside "
-            f"({seq.scales[i]!r}, {seq.scales[i + 1]!r})"
-        )
+    _check_x_inside(i, x, seq)
     expected_i = 1.0 if seq.scales[i] < x < y + seq.scales[i] else 0.0
     for k, nk in enumerate(seq.scales):
         shifted = 1.0 if y < x < y + nk else 0.0
@@ -225,6 +235,28 @@ def indicator_identity(i: int, j: int, y: float, x: float, seq: LacunarySeq) -> 
         if d != expected:
             raise IdentityViolated(k, x, d, expected)
     return "equals_ni_window" if expected_i == 1.0 else "zero"
+
+
+def indicator_identity_counts(i: int, j: int, ys, xs, seq: LacunarySeq) -> tuple[int, int]:
+    """indicator_identity at every point (y, x) of ys times xs, as counts.
+
+    Returns (window_hits, violations): the points where the identity holds
+    with the k = i term equal to ind_(n_i, y+n_i)(x), and the points where
+    it fails at some k.  The float comparisons and the sums y + n_k are
+    those of the scalar check, made on the whole grid at once per k.
+    """
+    y = np.atleast_1d(np.asarray(ys, dtype=np.float64))[:, None]
+    x = np.atleast_1d(np.asarray(xs, dtype=np.float64))[None, :]
+    _check_pair_preconditions(i, j, y, seq, len(seq) - 1)
+    _check_x_inside(i, x, seq)
+    ni = seq.scales[i]
+    window = (ni < x) & (x < y + ni)
+    bad = np.zeros(window.shape, dtype=bool)
+    for k, nk in enumerate(seq.scales):
+        shifted = ((y < x) & (x < y + nk)).astype(np.float64)
+        plain = (0.0 < x) & (x < nk)
+        bad |= (shifted - plain) != (window if k == i else 0.0)
+    return int(np.count_nonzero(window & ~bad)), int(np.count_nonzero(bad))
 
 
 def gap_condition_violations(seq: LacunarySeq) -> list[tuple[int, int]]:

@@ -21,9 +21,11 @@ from lacvar import (
     tail_bound,
     variation,
     variation_at,
+    variations_at,
     vector_variation,
 )
 from lacvar import avgops
+from lacvar.gridfn import GridMismatch
 from lacvar.avgops import _fold_power, l1_norm, vector_variations
 
 
@@ -502,6 +504,84 @@ def test_variation_scratch_does_not_grow_with_scales():
     finally:
         tracemalloc.stop()
     assert peak < 3 * x.nbytes
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2.0, 3.0]),
+    st.integers(min_value=2, max_value=5),
+    st.sampled_from([1, 3, 8, 16]),
+    st.sampled_from(["ascending", "shuffled", "nan"]),
+)
+def test_variations_rows_match_one_function_calls_exactly(seed, s, count, chunk, order):
+    # with _CHUNK patched, a batch of `count` rows takes chunk // count
+    # points at a time, so the 40..80 points cross several chunk edges;
+    # variation_at runs at the default _CHUNK, so each row must also be
+    # independent of the split
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(2, 24))
+    x0 = float(rng.uniform(-2.0, 2.0))
+    h = float(rng.uniform(0.01, 0.5))
+    fs = [GridFunction(x0, h, rng.uniform(-1.0, 1.0, size=cells)) for _ in range(count)]
+    seq = parse_sequence(f"geometric:{rng.uniform(0.01, 1.0):.6g}:2:{int(rng.integers(2, 10))}")
+    spec = _spec(s=s, k_max=len(seq) - 1)
+    x = np.sort(rng.uniform(x0 - 1.0, fs[0].x1 + 2.0 * seq.scales[-1], size=int(rng.integers(40, 81))))
+    if order != "ascending":
+        x = rng.permutation(x)
+    if order == "nan":
+        x[rng.integers(0, x.size, size=3)] = np.nan
+    with mock.patch.object(avgops, "_CHUNK", chunk):
+        got = variations_at(fs, seq, spec, x)
+    assert got.shape == (count, x.size)
+    for f, row in zip(fs, got):
+        want = variation_at(f, seq, spec, x)
+        assert row.tobytes() == want.tobytes()
+        assert want.tobytes() == oracle_variation_at(f, seq, spec, x).tobytes()
+
+
+def test_variations_need_functions_on_one_grid():
+    f = GridFunction(0.0, 0.125, np.ones(8))
+    seq = parse_sequence("geometric:1:2:4")
+    spec = _spec(k_max=3)
+    for other in (GridFunction(0.5, 0.125, np.ones(8)), GridFunction(0.0, 0.25, np.ones(8)),
+                  GridFunction(0.0, 0.125, np.ones(9))):
+        with pytest.raises(GridMismatch):
+            variations_at([f, other], seq, spec, [0.5])
+    with pytest.raises(ValueError, match="at least one"):
+        variations_at([], seq, spec, [0.5])
+
+
+def test_variations_hold_each_row_to_the_tail_gate():
+    # the zero function passes any gate; the indicator behind it does not
+    zero = GridFunction(0.0, 0.125, np.zeros(8))
+    f = GridFunction(0.0, 0.125, np.ones(8))
+    seq = parse_sequence("geometric:1:2:30")
+    tight = VariationSpec(s=2.0, k_max=4, tail_tol=1e-6)
+    with pytest.raises(TailTooLarge) as batch:
+        variations_at([zero, f], seq, tight, [0.5])
+    with pytest.raises(TailTooLarge) as alone:
+        variation_at(f, seq, tight, [0.5])
+    assert str(batch.value) == str(alone.value)
+    variations_at([zero, zero], seq, tight, [0.5])
+
+
+def test_variations_scratch_does_not_grow_with_functions():
+    # 8 functions at 2^17 points that all fold: beyond the 8-row result,
+    # a batch takes _CHUNK // 8 points at a time, so its scratch is a few
+    # _CHUNK-element arrays (about 9); full chunks per row would take 48
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64)) for _ in range(8)]
+    seq = parse_sequence("geometric:0.03125:2:16")
+    x = np.linspace(-1.0, 1.5, 1 << 17)
+    for f in fs:
+        f.primitive_at(0.0)  # build the cached edge tables outside the traced call
+    tracemalloc.start()
+    try:
+        variations_at(fs, seq, _spec(k_max=15), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * x.nbytes < 12 * avgops._CHUNK * 8
 
 
 def test_variation_out_of_order_costs_one_sort():

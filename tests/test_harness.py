@@ -130,6 +130,13 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "fourier_bound", "options": {"k_pair": [20, 99]}}, "k_pair"),
         ({"kind": "h1_l1", "options": {"scale_exps": [2000]}}, "scale_exps"),
         ({"kind": "h1_l1", "options": {"scale_exps": [-2000]}}, "scale_exps"),
+        # an atom wider than the top scale made every level 0 and the
+        # scale spread divide by 0; one i fitted the decay slope to a point
+        ({"kind": "h1_l1", "options": {"scale_exps": [100], "atoms_per_scale": 1}}, "options.scale_exps"),
+        ({"kind": "h1_l1", "options": {"scale_exps": [16]}}, "options.scale_exps"),
+        ({"kind": "h1_l1", "options": {"scale_exps": [-15]}}, "options.scale_exps"),
+        ({"kind": "h1_l1", "k_max": 20, "options": {"scale_exps": [7]}}, "options.scale_exps"),
+        ({"kind": "dr_condition", "options": {"i_range": [2, 2]}}, "options.i_range"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
@@ -142,6 +149,10 @@ def test_from_config_rejects_unknown_fields():
     from_config({"kind": "strong_pp", "k_max": None})
     from_config({"kind": "fourier_bound", "options": {"k_pair": (5, 10)}})
     from_config({"kind": "strong_pp", "options": {"eval_h": None}})
+    from_config({"kind": "h1_l1", "options": {"scale_exps": [-14, 15]}})  # n_0 and n_29
+    from_config({"kind": "h1_l1", "k_max": 20, "options": {"scale_exps": [6]}})
+    from_config({"kind": "indicator_identity", "options": {"i_range": [2, 2]}})
+    from_config({"kind": "dr_condition", "options": {"i_range": [2, 3]}})
     assert set(harness.OPTION_CHECKS) == {key for kind in harness.KINDS.values() for key in kind.options}
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
@@ -317,7 +328,6 @@ def test_vector_valued_computes_each_variation_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(avgops, "variation_at", counting)
-    monkeypatch.setattr(harness, "variation_at", counting)
     rep = run_scenario(from_config({"kind": "vector_valued", "family": {"count": 2}}))
     assert len(rep.cases) == 3  # rho = 1.5, 2, 3
     # V_s f does not depend on rho: each member once on the base grid and

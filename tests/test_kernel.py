@@ -14,6 +14,7 @@ from lacvar import (
     gap_condition_violations,
     hormander_integral,
     indicator_identity,
+    indicator_identity_counts,
     kernel_diff_norm,
     kernel_norm,
     parse_sequence,
@@ -204,6 +205,73 @@ def test_identity_violated_is_raised_not_returned(dyadic13):
         indicator_identity(3, 1, 1.0, 8.5, dyadic13)
     except IdentityViolated:
         pytest.fail("identity must hold at this sample")
+
+
+def _scalar_counts(i, j, ys, xs, seq):
+    """(window_hits, violations) from the scalar check at every (y, x)."""
+    hits = bad = 0
+    for y in ys:
+        for x in xs:
+            try:
+                hits += indicator_identity(i, j, float(y), float(x), seq) == "equals_ni_window"
+            except IdentityViolated:
+                bad += 1
+    return hits, bad
+
+
+def _grid(i, j, seq, count):
+    nj, ni, ni1 = (seq.scales[t] for t in (j, i, i + 1))
+    ys = np.concatenate([np.linspace(nj / count, nj, count), [np.nextafter(nj, 0.0)]])
+    xs = np.concatenate([np.linspace(ni, ni1, count)[1:-1], np.nextafter([ni, ni1], [np.inf, 0.0]),
+                         ni + ys, np.nextafter(ni + ys, 0.0)])
+    return ys, xs[(ni < xs) & (xs < ni1)]
+
+
+@pytest.mark.parametrize("literal", ["geometric:1:2:10", "geometric:0.5:1.5:12", "geometric:1:3:8"])
+def test_identity_counts_match_the_scalar_check(literal):
+    seq = parse_sequence(literal)
+    g = gamma(seq.beta)
+    for i in range(g, len(seq) - 1):
+        for j in range(0, i - g + 1):
+            ys, xs = _grid(i, j, seq, 9)
+            got = indicator_identity_counts(i, j, ys, xs, seq)
+            assert got == _scalar_counts(i, j, ys, xs, seq)
+            assert got[1] == 0 and got[0] > 0
+
+
+def test_identity_counts_match_the_scalar_check_where_it_fails():
+    # the ratio into n_1 sits just below beta = 2, within the accepted
+    # slack, so n_0 + n_0 > n_1 and x in (n_1, 2) lies in the shifted
+    # k = 0 window: the identity fails there
+    seq = LacunarySeq((1.0, 2.0 - 1e-12, 4.5, 9.5, 30.0), 2.0)
+    fails = 0
+    for i in range(1, len(seq) - 1):
+        for j in range(0, i):
+            ys, xs = _grid(i, j, seq, 7)
+            got = indicator_identity_counts(i, j, ys, xs, seq)
+            assert got == _scalar_counts(i, j, ys, xs, seq)
+            fails += got[1]
+    assert indicator_identity_counts(1, 0, [1.0], [2.0 - 5e-13], seq) == (0, 1)
+    assert fails > 0
+
+
+def test_identity_counts_preconditions(dyadic13):
+    for i, j, ys, xs in (
+        (2, 2, [1.0], [5.0]),  # j too close to i
+        (3, 1, [1.0, 3.0], [8.5]),  # y > n_j
+        (3, 1, [0.0], [8.5]),  # y = 0
+        (3, 1, [np.nan], [8.5]),
+        (3, 1, [1.0], [8.5, 20.0]),  # x outside (n_i, n_{i+1})
+        (3, 1, [1.0], [8.0]),
+        (3, 1, [1.0], [np.nan]),
+        (12, 1, [1.0], [5000.0]),  # no scale n_{i+1}
+    ):
+        with pytest.raises(PreconditionViolated):
+            indicator_identity_counts(i, j, ys, xs, dyadic13)
+        with pytest.raises(PreconditionViolated):
+            _scalar_counts(i, j, ys, xs, dyadic13)
+    with pytest.raises(PreconditionViolated, match="got y=3.0"):
+        indicator_identity_counts(3, 1, [1.0, 3.0], [8.5], dyadic13)
 
 
 # ------------------------------------------------------------ gap condition
