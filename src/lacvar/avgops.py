@@ -241,40 +241,45 @@ def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarr
 
 
 def _fold(fs: list[GridFunction], scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """V_s f at ascending x, one row per f; zones L = x < below[k] and R = x >= above[k]."""
+    """V_s f at ascending x, one column per f; zones L = x < below[k] and R = x >= above[k].
+
+    The buffers hold one row per point, so a prefix of points is one
+    contiguous block for every op, whatever the number of functions.
+    """
     ends_l = np.searchsorted(x, below).tolist()
     starts_r = np.searchsorted(x, above).tolist()
-    shape = (len(fs), x.size)
+    shape = (x.size, len(fs))
     upper = np.empty(shape)
-    for row, f in zip(upper, fs):
-        row[:] = f.primitive_at(x)
     shifted = np.empty_like(x)
     level = np.zeros(shape)
     prev = np.zeros(shape)
     acc = np.zeros(shape)
     comp = np.zeros(shape)
     big = np.empty(shape)
+    # each function with its columns of upper and big
+    cols = list(zip(fs, upper.T, big.T))
+    for f, up, _ in cols:
+        up[:] = f.primitive_at(x)
     for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
         if a:
             # (upper - 0.0) / n is upper / n bit for bit
-            np.divide(upper[:, :a], n, out=level[:, :a])
+            np.divide(upper[:a], n, out=level[:a])
         if a < b:
-            # the lower primitives go in big, which is scratch until the fold
+            # upper - lower goes in big, which is scratch until the fold;
+            # subtracting each lower primitive as it comes saves a copy
             np.subtract(x[a:b], n, out=shifted[a:b])
-            lower = big[:, a:b]
-            for row, f in zip(lower, fs):
-                row[:] = f.primitive_at(shifted[a:b])
-            np.subtract(upper[:, a:b], lower, out=lower)
-            np.divide(lower, n, out=level[:, a:b])
+            for f, up, dst in cols:
+                np.subtract(up[a:b], f.primitive_at(shifted[a:b]), out=dst[a:b])
+            np.divide(big[a:b], n, out=level[a:b])
         if k and b:
             # a point past b is in R here and at every smaller scale:
             # whatever the buffers took there came out +0.0, its term
             # would be |0 - 0|**s = 0, and folding a zero leaves acc and
             # comp bit-unchanged
-            diff = prev[:, :b]
-            np.subtract(level[:, :b], diff, out=diff)
+            diff = prev[:b]
+            np.subtract(level[:b], diff, out=diff)
             np.abs(diff, out=diff)
-            _fold_power(acc[:, :b], comp[:, :b], diff, s, big[:, :b])
+            _fold_power(acc[:b], comp[:b], diff, s, big[:b])
         level, prev = prev, level
     acc += comp
     acc **= 1.0 / s
@@ -306,7 +311,7 @@ def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -
             res = _fold(fs, scales, s, np.concatenate([xc[a:b] for a, b in spans]), below, above)
             at = 0
             for a, b in spans:
-                out[:, a:b] = res[:, at : at + b - a]
+                out[:, a:b] = res[at : at + b - a].T
                 at += b - a
         for a, b in copied:
             out[:, a:b] = out[:, a - 1 : a]
@@ -320,7 +325,8 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
     that depends only on the grid and the points is done once for all of
     them: the order check, the zone edges, the flat stretches and the chunk
     cuts.  Each elementwise step of the fold is one call over every row;
-    only the interpolation of each function's primitive is per row.
+    only each function's primitive, interpolated and subtracted from the
+    upper one at each scale, takes a call per function.
 
     Input out of order or holding NaN is sorted by one stable argsort and
     the result scattered back; NaN sorts last and gives NaN.  The sorted

@@ -194,7 +194,7 @@ class Scenario:
         last = len(scales) - 1
         if self.k_max is not None and self.k_max > last:
             raise ScenarioInvalid(f"k_max must be at most {last}, the last index of seq, got {self.k_max!r}")
-        top = scales[last if self.k_max is None else self.k_max]
+        top = scales[self.k_max or last]
         # dr_condition fits a decay slope over i_range, which needs two indices
         two = self.kind == "dr_condition"
         # the options that are read against the scales of seq
@@ -537,21 +537,20 @@ def _run_h1_l1(sc, th):
     seq = _seq_of(sc)
     spec = _vspec(sc, seq)
     opts = sc.options
-    exps = [int(m) for m in opts["scale_exps"]]
+    exps = opts["scale_exps"]
     per_scale = int(opts["atoms_per_scale"])
     cells = int(opts["atom_cells"])
     zp = int(opts["zone_points"])
-    # the atoms of one scale share their interval, so they share its zone cells
-    zone = {(m, scale): _zone_cells(Interval(0.0, 2.0**m), seq, spec, scale * zp)
-            for m in exps for scale in (1, 2)}
     cases = []
     per_scale_sup: dict[int, float] = {}
     for m in exps:
-        # the atoms of one scale share their grid too: one batched call per zone grid
-        fns = [make_atom(Interval(0.0, 2.0**m), sc.seed + sidx, cells).fn for sidx in range(per_scale)]
+        # the atoms of one scale share their interval, so they share its
+        # grid and zone cells: one batched call per zone grid
+        I = Interval(0.0, 2.0**m)
+        fns = [make_atom(I, sc.seed + sidx, cells).fn for sidx in range(per_scale)]
         base_l1, fine_l1 = (
             [float(np.dot(row, widths)) for row in variations_at(fns, seq, spec, x)]
-            for x, widths in (zone[m, 1], zone[m, 2])
+            for x, widths in (_zone_cells(I, seq, spec, scale * zp) for scale in (1, 2))
         )
         for sidx, (base, fine) in enumerate(zip(base_l1, fine_l1)):
             extra = {"ratio_refined": fine, "scale": 2.0**m}
@@ -732,7 +731,7 @@ def _run_dr_condition(sc, th):
     kspec = KernelSpec(seq, s=sc.s, k_max=k_max)
     opts = sc.options
     j = int(opts["j"])
-    i_lo, i_hi = (int(v) for v in opts["i_range"])
+    i_lo, i_hi = opts["i_range"]
     y = float(opts.get("y", seq.scales[j]))
     l_max = int(opts["shell_l_max"])
     cases = []
@@ -828,29 +827,23 @@ def _run_fourier_bound(sc, th):
 def _run_indicator_identity(sc, th):
     seq = _seq_of(sc)
     g = gamma(seq.beta)
-    i_lo, i_hi = (int(v) for v in sc.options["i_range"])
+    i_lo, i_hi = sc.options["i_range"]
     y_count = int(sc.options["y_count"])
     x_count = int(sc.options["x_count"])
     cases = []
     total_viol = 0
     for i in range(i_lo, i_hi + 1):
-        samples = 0
-        window_hits = 0
-        violations = 0
-        for j in range(0, i - g + 1):
-            nj = seq.scales[j]
-            ni, ni1 = seq.scales[i], seq.scales[i + 1]
-            ys = nj * (np.arange(1, y_count + 1) / y_count)
-            xs = ni + (ni1 - ni) * ((np.arange(x_count) + 0.5) / x_count)
-            hits, bad = indicator_identity_counts(i, j, ys, xs, seq)
-            samples += ys.size * xs.size
-            window_hits += hits
-            violations += bad
+        ni, ni1 = seq.scales[i], seq.scales[i + 1]
+        xs = ni + (ni1 - ni) * ((np.arange(x_count) + 0.5) / x_count)
+        # one (y, x) grid per pair, with y in (0, n_j]
+        counts = [indicator_identity_counts(i, j, seq.scales[j] * (np.arange(1, y_count + 1) / y_count), xs, seq)
+                  for j in range(i - g + 1)]
+        window_hits, violations = (sum(c[t] for c in counts) for t in (0, 1))
         total_viol += violations
         cases.append(
             CaseResult(
                 f"i{i}", float(violations), 0.0, 0.0,
-                {"samples": samples, "window_hits": window_hits},
+                {"samples": len(counts) * y_count * x_count, "window_hits": window_hits},
             )
         )
     checks = [
