@@ -73,18 +73,18 @@ class VariationSpec:
 
     def __post_init__(self):
         if not self.s >= 1.0:
-            raise ValueError(f"variation exponent must be >= 1, got {self.s!r}")
+            raise ValueError(f"variation exponent s must be >= 1, got {self.s!r}")
         if math.isinf(self.s):
-            raise ValueError("s = inf is not supported")
+            raise ValueError("variation exponent s = inf is not supported")
         if self.k_max < 1:
-            raise ValueError(f"truncation index must be >= 1, got {self.k_max!r}")
+            raise ValueError(f"truncation index k_max must be >= 1, got {self.k_max!r}")
         if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be positive")
+            raise ValueError(f"tail_tol must be positive, got {self.tail_tol!r}")
 
     def check_seq(self, seq: LacunarySeq) -> None:
         if self.k_max > len(seq) - 1:
             raise ValueError(
-                f"truncation index {self.k_max} needs {self.k_max + 1} scales, "
+                f"truncation index k_max={self.k_max} needs {self.k_max + 1} scales, "
                 f"sequence has {len(seq)}"
             )
 

@@ -65,12 +65,7 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             f"evaluation grid needs {grid.n} cells (cap {args.max_cells}); "
             "raise --eval-h or --max-cells"
         )
-    v = variation(f, seq, spec, grid)
-    if args.out == "-":
-        write_function_csv(v, sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            write_function_csv(v, fh)
+    write_function_csv(variation(f, seq, spec, grid), sys.stdout if args.out == "-" else args.out)
     return 0
 
 

@@ -9,6 +9,8 @@ exact too.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,7 +342,7 @@ def make_atom(I: Interval, seed: int, cells: int = 32) -> Atom:
     return Atom(GridFunction(I.lo, I.length / cells, v), I)
 
 
-# The parameters each family kind reads; every kind also takes x0.
+# The parameters each family kind reads, the first one required; all take x0.
 FAMILY_PARAMS = {
     "indicator": ("scales", "cells"),
     "haar": ("scales",),
@@ -350,13 +352,38 @@ FAMILY_PARAMS = {
 }
 
 
+def _is_finite(v, above: float = -math.inf) -> bool:
+    """A real number, not a bool, in (above, inf)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and above < v < math.inf
+
+
+_COUNT = ("a positive integer", lambda v: _is_finite(v, 0) and v == int(v))
+_LENGTHS = ("a non-empty list of positive finite numbers",
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(_is_finite(e, 0) for e in v))
+
+# What each family parameter must hold.
+PARAM_CHECKS = {
+    "x0": ("a finite number", _is_finite),
+    "seed": ("an integer >= 0", lambda v: _is_finite(v, -1) and v == int(v)),
+    "length": ("a positive finite number", lambda v: _is_finite(v, 0)),
+    "count": _COUNT, "cells": _COUNT, "scales": _LENGTHS, "epsilons": _LENGTHS,
+}
+
+
 def check_family_params(kind: str, params: dict) -> None:
-    """Raise BadParams for an unknown family kind or a parameter it does not read."""
+    """Raise BadParams for an unknown kind, an unknown or missing parameter, or a value PARAM_CHECKS refuses."""
     if kind not in FAMILY_PARAMS:
         raise BadParams(f"unknown family kind {kind!r}")
-    unknown = set(params) - {"x0", *FAMILY_PARAMS[kind]}
+    names = FAMILY_PARAMS[kind]
+    unknown = set(params) - {"x0", *names}
     if unknown:
         raise BadParams(f"unknown {kind} family parameters: {sorted(unknown)}")
+    if names[0] not in params:
+        raise BadParams(f"{kind} family needs {names[0]!r}")
+    for key, val in params.items():
+        what, ok = PARAM_CHECKS[key]
+        if not ok(val):
+            raise BadParams(f"{kind} family parameter {key!r} must be {what}, got {val!r}")
 
 
 def make_family(kind: str, params: dict) -> list[GridFunction]:
@@ -372,43 +399,25 @@ def make_family(kind: str, params: dict) -> list[GridFunction]:
     check_family_params(kind, params)
     x0 = float(params.get("x0", 0.0))
     if kind == "indicator":
-        scales = params.get("scales")
-        if not scales:
-            raise BadParams("indicator family needs non-empty 'scales'")
         cells = int(params.get("cells", 1))
-        return [GridFunction(x0, float(L) / cells, np.ones(cells)) for L in scales]
+        return [GridFunction(x0, float(L) / cells, np.ones(cells)) for L in params["scales"]]
     if kind == "haar":
-        scales = params.get("scales")
-        if not scales:
-            raise BadParams("haar family needs non-empty 'scales'")
-        return [
-            GridFunction(x0, float(L) / 2.0, np.array([1.0, -1.0])) for L in scales
-        ]
+        return [GridFunction(x0, float(L) / 2.0, np.array([1.0, -1.0])) for L in params["scales"]]
     if kind == "bump":
-        scales = params.get("scales")
-        if not scales:
-            raise BadParams("bump family needs non-empty 'scales'")
         cells = int(params.get("cells", 64))
         t = (np.arange(cells) + 0.5) / cells
         prof = 0.5 * (1.0 - np.cos(2.0 * np.pi * t))
-        return [GridFunction(x0, float(L) / cells, prof) for L in scales]
+        return [GridFunction(x0, float(L) / cells, prof) for L in params["scales"]]
     if kind == "random_step":
-        count = int(params.get("count", 0))
-        if count < 1:
-            raise BadParams("random_step family needs 'count' >= 1")
         seed = int(params.get("seed", 0))
         cells = int(params.get("cells", 64))
         length = float(params.get("length", 1.0))
         rng = np.random.default_rng(seed)
         return [
             GridFunction(x0, length / cells, rng.uniform(-1.0, 1.0, size=cells))
-            for _ in range(count)
+            for _ in range(int(params["count"]))
         ]
-    if kind == "spike":
-        eps = params.get("epsilons")
-        if not eps:
-            raise BadParams("spike family needs non-empty 'epsilons'")
-        return [GridFunction(x0, float(e), np.array([1.0 / float(e)])) for e in eps]
+    return [GridFunction(x0, float(e), np.array([1.0 / float(e)])) for e in params["epsilons"]]
 
 
 # ---------------------------------------------------------------- CSV format

@@ -5,6 +5,10 @@ scale experiment: build a function corpus, evaluate the variation operator,
 take the norm pair, and report ratios together with refinement diagnostics
 and pass/fail checks against configured thresholds.
 
+`_parse` turns a scenario into what its runner reads, once per run;
+`from_config` runs the same parse, so a value the library refuses, or a
+field the kind does not read, is a ScenarioInvalid naming the field.
+
 Reports are deterministic: identical scenario + seed gives byte-identical
 JSON.  Wall-clock timing is kept on the in-memory report object only and
 never serialized, precisely so the byte-determinism contract can hold.
@@ -32,12 +36,10 @@ import numpy as np
 from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variations_at, vector_variations
 from .fourier import multiplier_tail, parse_xi_grid, sup_scan
 from .gridfn import (
-    BadParams,
     GridFunction,
     Interval,
     UniformGrid,
     bmo_norm,
-    check_family_params,
     lp_norm,
     make_atom,
     make_dyadic_family,
@@ -46,7 +48,7 @@ from .gridfn import (
 )
 from .kernel import KernelSpec, drlem_check, indicator_identity_counts, shell_integrals
 from .lacunary import LacunarySeq, gamma, parse_sequence, refine
-from .weights import ap_constant, a1_constant, parse_weight, Weight
+from .weights import ap_constant, a1_constant, parse_weight, Weight, WeightSpec
 
 SCHEMA_VERSION = "lacvar-report/1"
 
@@ -90,28 +92,23 @@ def _is_list(v, ok, size: int = 0) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == (size or len(v)) > 0 and all(map(ok, v))
 
 
-def _is_xi_grid(v) -> bool:
-    try:
-        return isinstance(v, str) and parse_xi_grid(v).size > 0
-    except ValueError:
-        return False
+_POSITIVE = ("a positive number", lambda v: _is_real(v) and 0.0 < v < math.inf, float)
+_COUNT = ("a positive integer", _is_whole, int)
+_INT_PAIR = ("two integers", lambda v: _is_list(v, _is_int, 2), list)
 
-
-_POSITIVE = ("a positive number", lambda v: _is_real(v) and 0.0 < v < math.inf)
-_COUNT = ("a positive integer", _is_whole)
-_INT_PAIR = ("two integers", lambda v: _is_list(v, _is_int, 2))
-
-# What each `options` key of KINDS must hold, and the test Scenario.validate
-# puts its value to.  `eval_h` may also be null, which asks for the default
-# grid; `scale_exps` stays where 2.0**m and 2.0**-m are finite and nonzero.
+# What each `options` key of KINDS must hold, the test _parse puts its value
+# to, and how the runners read it.  `eval_h` may also be null, which asks for
+# the default grid; `scale_exps` stays where 2.0**m and 2.0**-m are finite and
+# nonzero; `xi_grid` is read by parse_xi_grid, whose own rules then apply.
 OPTION_CHECKS = {
-    "eval_h": ("a positive number or null", lambda v: v is None or _POSITIVE[1](v)),
-    "scale_exps": ("a non-empty list of integers in -1022..1022", lambda v: _is_list(v, lambda m: _is_int(m) and abs(m) <= 1022)),
-    "atom_cells": ("an integer >= 2", lambda v: _is_whole(v, 2)),
-    "dual_r": ("a finite number", lambda v: _is_real(v) and math.isfinite(v)),
-    "r_values": ("a non-empty list of numbers >= 1", lambda v: _is_list(v, lambda r: _is_real(r) and r >= 1.0)),
-    "j": ("an integer >= 0", lambda v: _is_whole(v, 0)),
-    "xi_grid": ("a frequency grid literal log:<lo>:<hi>:<count>", _is_xi_grid),
+    "eval_h": ("a positive number or null", lambda v: v is None or _POSITIVE[1](v), lambda v: v),
+    "scale_exps": ("a non-empty list of integers in -1022..1022", lambda v: _is_list(v, lambda m: _is_int(m) and abs(m) <= 1022), list),
+    "atom_cells": ("an integer >= 2", lambda v: _is_whole(v, 2), int),
+    "dual_r": ("a finite number", lambda v: _is_real(v) and math.isfinite(v), float),
+    "r_values": ("a non-empty list of numbers >= 1", lambda v: _is_list(v, lambda r: _is_real(r) and r >= 1.0),
+                 lambda v: [float(r) for r in v]),
+    "j": ("an integer >= 0", lambda v: _is_whole(v, 0), int),
+    "xi_grid": ("a frequency grid literal log:<lo>:<hi>:<count>", lambda v: isinstance(v, str), parse_xi_grid),
     "ap_min_len": _POSITIVE, "y": _POSITIVE, "k_pair": _INT_PAIR, "i_range": _INT_PAIR,
     "eval_cells": _COUNT, "atoms_per_scale": _COUNT, "zone_points": _COUNT, "shell_l_max": _COUNT,
     "sequence_count": _COUNT, "y_count": _COUNT, "x_count": _COUNT,
@@ -124,8 +121,9 @@ class Scenario:
 
     `family` describes the test-function corpus (gridfn.make_family), and
     `options` carries kind-specific knobs (frequency grids, index ranges,
-    atom layouts); both are echoed verbatim into the report.  No kind reads
-    `lambda_grid`: it must stay empty, and is kept so the echo keeps its keys.
+    atom layouts); both are echoed verbatim into the report.  A kind needs
+    `p`, `weight`, `rho` or `family` when its defaults name it, and refuses
+    it otherwise; no kind reads `lambda_grid`, kept so the echo keeps its keys.
     """
 
     kind: str
@@ -145,72 +143,115 @@ class Scenario:
     options: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ScenarioInvalid(f"unknown scenario kind {self.kind!r}")
-        if not (_is_real(self.s) and self.s >= 1.0):
-            raise ScenarioInvalid("variation exponent s must be >= 1")
-        if self.p is not None and not (_is_real(self.p) and self.p > 1.0):
-            raise ScenarioInvalid("norm exponent p must exceed 1")
-        if not _is_int(self.seed):
-            raise ScenarioInvalid(f"seed must be an integer, got {self.seed!r}")
-        if self.k_max is not None and not (_is_int(self.k_max) and self.k_max >= 1):
-            raise ScenarioInvalid(f"k_max must be null or an integer >= 1, got {self.k_max!r}")
-        defaults = KINDS[self.kind].defaults
-        if "p" in defaults and self.p is None:
-            raise ScenarioInvalid(f"{self.kind} needs p")
-        if "weight" in defaults and not self.weight:
-            raise ScenarioInvalid(f"{self.kind} needs a weight literal")
-        if self.weight is not None:
-            try:
-                parse_weight(self.weight)
-            except ValueError as exc:
-                raise ScenarioInvalid(str(exc)) from exc
-        if "rho" in defaults and not _is_list(self.rho, lambda r: _is_real(r) and r > 1.0):
-            raise ScenarioInvalid(f"{self.kind} needs aggregation exponents rho > 1, got {self.rho!r}")
-        if "family" in defaults and "kind" not in self.family:
-            raise ScenarioInvalid(f"{self.kind} needs a function family")
-        if "kind" in self.family:
-            params = {k: v for k, v in self.family.items() if k != "kind"}
-            try:
-                check_family_params(self.family["kind"], params)
-            except BadParams as exc:
-                raise ScenarioInvalid(str(exc)) from exc
-        unknown = set(self.thresholds) - set(DEFAULT_THRESHOLDS)
-        if unknown:
-            raise ScenarioInvalid(f"unknown thresholds: {sorted(unknown)}")
-        unknown = set(self.options) - set(KINDS[self.kind].options)
-        if unknown:
-            raise ScenarioInvalid(f"unknown {self.kind} options: {sorted(unknown)}")
-        if self.lambda_grid:
-            raise ScenarioInvalid("lambda_grid is read by no scenario kind and must stay empty")
-        for key, val in self.options.items():
-            what, ok = OPTION_CHECKS[key]
-            if not ok(val):
-                raise ScenarioInvalid(f"options.{key} must be {what}, got {val!r}")
-        try:
-            scales = parse_sequence(self.seq, self.beta).scales
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioInvalid(f"seq={self.seq!r} with beta={self.beta!r}: {exc}") from exc
-        last = len(scales) - 1
-        if self.k_max is not None and self.k_max > last:
-            raise ScenarioInvalid(f"k_max must be at most {last}, the last index of seq, got {self.k_max!r}")
-        top = scales[self.k_max or last]
-        # dr_condition fits a decay slope over i_range, which needs two indices
-        two = self.kind == "dr_condition"
-        # the options that are read against the scales of seq
-        for key, what, ok in (
-            ("j", f"at most {last}", lambda j: j <= last),
-            ("k_pair", f"two indices in 1..{last}", lambda ks: all(1 <= k <= last for k in ks)),
-            ("i_range", f"[lo, hi] with 0 <= lo {'<' if two else '<='} hi < {last}",
-             lambda r: 0 <= r[0] <= r[1] - two and r[1] < last),
-            ("scale_exps", f"exponents m with n_0 <= 2**m <= n_k_max, from {scales[0]!r} to {top!r}",
-             lambda ms: all(scales[0] <= 2.0**m <= top for m in ms)),
-        ):
-            if key in self.options and not ok(self.options[key]):
-                raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {self.options[key]!r}")
+        """Raise ScenarioInvalid, naming the field, unless the scenario can run."""
+        _parse(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+class _Inputs(NamedTuple):
+    """A scenario parsed into what its runner reads."""
+
+    seq: LacunarySeq
+    spec: VariationSpec  # k_max defaulted to the last index of seq
+    weight: WeightSpec | None
+    fams: list  # the family's members, empty for the kinds that read none
+    th: dict  # DEFAULT_THRESHOLDS with the scenario's own over them
+    opts: dict  # the options as OPTION_CHECKS reads them
+
+
+def _parse(sc: Scenario) -> _Inputs:
+    """The one place a scenario becomes run inputs.
+
+    Each library constructor is called once, and its refusal becomes a
+    ScenarioInvalid naming the field; the checks here cover what they let
+    through, or what only the run would trip over.
+    """
+    if sc.kind not in KINDS:
+        raise ScenarioInvalid(f"unknown scenario kind {sc.kind!r}")
+    kind = KINDS[sc.kind]
+    # types that VariationSpec takes but should not, such as s=True
+    for name, what, ok in (
+        ("variation exponent s", "a number", _is_real),
+        ("k_max", "null or an integer", lambda v: v is None or _is_int(v)),
+        ("tail_tol", "a number", _is_real),
+        ("enforce_tail", "true or false", lambda v: isinstance(v, bool)),
+        ("seed", "an integer", _is_int),
+    ):
+        val = getattr(sc, name.split()[-1])
+        if not ok(val):
+            raise ScenarioInvalid(f"{name} must be {what}, got {val!r}")
+    for name, need, ok in (
+        ("p", "p > 1, the norm exponent p", lambda v: _is_real(v) and v > 1.0),
+        ("weight", "a weight literal", bool),
+        ("rho", "aggregation exponents rho > 1", lambda v: _is_list(v, lambda r: _is_real(r) and r > 1.0)),
+        ("family", "a function family", bool),
+        ("lambda_grid", "", bool),
+    ):
+        val = getattr(sc, name)
+        if name not in kind.defaults and val not in (None, (), [], {}):
+            raise ScenarioInvalid(f"{sc.kind} reads no {name}, so it must be unset; got {val!r}")
+        if name in kind.defaults and not ok(val):
+            raise ScenarioInvalid(f"{sc.kind} needs {need}, got {val!r}")
+    try:
+        weight = parse_weight(sc.weight) if sc.weight else None
+    except ValueError as exc:
+        raise ScenarioInvalid(str(exc)) from exc
+    fams = []
+    if sc.family:
+        params = {k: v for k, v in sc.family.items() if k != "kind"}
+        if sc.family.get("kind") == "random_step":
+            params.setdefault("seed", sc.seed)
+        try:
+            fams = make_family(sc.family.get("kind"), params)
+        except ValueError as exc:  # BadParams, or a member GridFunction refuses
+            raise ScenarioInvalid(f"family: {exc}") from exc
+    for key, val in sc.thresholds.items():
+        if key not in DEFAULT_THRESHOLDS:
+            raise ScenarioInvalid(f"unknown threshold {key!r}")
+        if not (_is_real(val) and math.isfinite(val)):
+            raise ScenarioInvalid(f"thresholds.{key} must be a finite number, got {val!r}")
+    opts = {}
+    for key, val in sc.options.items():
+        if key not in kind.options:
+            raise ScenarioInvalid(f"unknown {sc.kind} option {key!r}")
+        what, ok, read = OPTION_CHECKS[key]
+        if not ok(val):
+            raise ScenarioInvalid(f"options.{key} must be {what}, got {val!r}")
+        try:
+            opts[key] = read(val)
+        except ValueError as exc:
+            raise ScenarioInvalid(f"options.{key}: {exc}") from exc
+    try:
+        seq = parse_sequence(sc.seq, sc.beta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioInvalid(f"seq={sc.seq!r} with beta={sc.beta!r}: {exc}") from exc
+    scales, last = seq.scales, len(seq) - 1
+    try:
+        spec = VariationSpec(sc.s, last if sc.k_max is None else sc.k_max, sc.tail_tol, sc.enforce_tail)
+        spec.check_seq(seq)
+    except ValueError as exc:
+        raise ScenarioInvalid(f"{exc}; seq has {last + 1} scales") from exc
+    top = scales[spec.k_max]
+    # dr_condition fits a decay slope over i_range, which needs two indices,
+    # and its kernel checks need i >= j + gamma and i + 1 <= k_max
+    two = sc.kind == "dr_condition"
+    j = opts.get("j", 0)
+    lo_i, hi_i = (j + gamma(seq.beta), spec.k_max) if two else (0, last)
+    # the options that are read against the scales of seq
+    for key, what, ok in (
+        ("j", f"at most {last}", lambda v: v <= last),
+        ("y", f"at most n_j = {scales[min(j, last)]!r}", lambda y: y <= scales[j]),
+        ("k_pair", f"two indices in 1..{last}", lambda ks: all(1 <= k <= last for k in ks)),
+        ("i_range", f"[lo, hi] with {lo_i} <= lo {'<' if two else '<='} hi < {hi_i}",
+         lambda r: lo_i <= r[0] <= r[1] - two and r[1] < hi_i),
+        ("scale_exps", f"exponents m with n_0 <= 2**m <= n_k_max, from {scales[0]!r} to {top!r}",
+         lambda ms: all(scales[0] <= 2.0**m <= top for m in ms)),
+    ):
+        if key in opts and not ok(opts[key]):
+            raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {sc.options[key]!r}")
+    return _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts)
 
 
 def default_scenario(kind: str) -> Scenario:
@@ -231,12 +272,6 @@ def from_config(config: dict) -> Scenario:
         raise ScenarioInvalid(f"unknown scenario fields: {sorted(unknown)}")
     updates = {}
     for key, val in config.items():
-        if key == "kind":
-            continue
-        if key == "rho":
-            if not isinstance(val, (list, tuple)):
-                raise ScenarioInvalid(f"rho must be a list of aggregation exponents, got {val!r}")
-            val = tuple(val)
         if key in ("family", "options", "thresholds"):
             if not isinstance(val, dict):
                 raise ScenarioInvalid(f"{key} must be an object of named values, got {val!r}")
@@ -313,25 +348,6 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
 # ------------------------------------------------------------ shared helpers
 
 
-def _seq_of(sc: Scenario) -> LacunarySeq:
-    return parse_sequence(sc.seq, sc.beta)
-
-
-def _vspec(sc: Scenario, seq: LacunarySeq, k_max: int | None = None) -> VariationSpec:
-    k = k_max if k_max is not None else (sc.k_max if sc.k_max is not None else len(seq) - 1)
-    return VariationSpec(
-        s=sc.s, k_max=k, tail_tol=sc.tail_tol, enforce_tail=sc.enforce_tail
-    )
-
-
-def _materialize_family(sc: Scenario) -> list[GridFunction]:
-    params = dict(sc.family)
-    kind = params.pop("kind")
-    if kind == "random_step":
-        params.setdefault("seed", sc.seed)
-    return make_family(kind, params)
-
-
 def _rel_change(a: float, b: float) -> float:
     m = max(abs(a), abs(b))
     return 0.0 if m == 0.0 else abs(a - b) / m
@@ -362,25 +378,22 @@ class _Outcome:
     constants: dict = field(default_factory=dict)
 
 
-def _grid_for(f: GridFunction, seq, spec, scale: int, eval_h: float | None):
-    h = (eval_h if eval_h is not None else f.h) / scale
-    return default_eval_grid(f, seq, spec.k_max, h=h)
+def _grid_for(f: GridFunction, inp: _Inputs, scale: int):
+    h = (inp.opts.get("eval_h") or f.h) / scale
+    return default_eval_grid(f, inp.seq, inp.spec.k_max, h=h)
 
 
-def _family_cases(sc, lhs_of, rhs_of, grid_of=None, fams=None) -> list[CaseResult]:
-    """One case per member of sc's family (or `fams`): lhs_of(V_s f) against rhs_of(f).
+def _family_cases(inp: _Inputs, lhs_of, rhs_of, grid_of=None) -> list[CaseResult]:
+    """One case per member of the family: lhs_of(V_s f) against rhs_of(f).
 
     V_s f is sampled on grid_of(f, 1) for the case ratio and again on
     grid_of(f, 2) (half the step) for `ratio_refined`; the default grid is
     the support plus the top-scale pad at `eval_h` (or f's own step).
     """
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    fams = _materialize_family(sc) if fams is None else fams
-    eval_h = sc.options.get("eval_h")
-    grid_of = grid_of or (lambda f, scale: _grid_for(f, seq, spec, scale, eval_h))
+    seq, spec = inp.seq, inp.spec
+    grid_of = grid_of or (lambda f, scale: _grid_for(f, inp, scale))
     cases = []
-    for i, f in enumerate(fams):
+    for i, f in enumerate(inp.fams):
         lhs, lhs2 = (lhs_of(variation(f, seq, spec, grid_of(f, scale))) for scale in (1, 2))
         rhs = rhs_of(f)
         extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
@@ -413,35 +426,32 @@ def _spread_check(name: str, values: list[float], threshold: float, **detail) ->
 # ------------------------------------------------------------- the runners
 
 
-def _run_strong_pp(sc, th):
-    cases = _family_cases(sc, lambda v: lp_norm(v, sc.p), lambda f: lp_norm(f, sc.p))
-    stab, checks = _stability(cases, th["stability"])
+def _run_strong_pp(sc, inp):
+    cases = _family_cases(inp, lambda v: lp_norm(v, sc.p), lambda f: lp_norm(f, sc.p))
+    stab, checks = _stability(cases, inp.th["stability"])
     return _Outcome(cases, checks, stab["base"], stab)
 
 
-def _run_weak_11(sc, th):
-    cases = _family_cases(sc, weak_sup, lambda f: lp_norm(f, 1.0))
-    stab, checks = _stability(cases, th["stability"])
-    checks.append(_spread_check("family_spread", [c.ratio for c in cases], th["family_spread"]))
+def _run_weak_11(sc, inp):
+    cases = _family_cases(inp, weak_sup, lambda f: lp_norm(f, 1.0))
+    stab, checks = _stability(cases, inp.th["stability"])
+    checks.append(_spread_check("family_spread", [c.ratio for c in cases], inp.th["family_spread"]))
     return _Outcome(cases, checks, stab["base"], stab)
 
 
-def _run_weighted_pp(sc, th):
-    p = sc.p
-    wspec = parse_weight(sc.weight)
-    fams = _materialize_family(sc)
+def _run_weighted_pp(sc, inp):
+    p, wspec, th = sc.p, inp.weight, inp.th
     cases = _family_cases(
-        sc,
+        inp,
         lambda v: lp_norm(v, p, wspec.sample(v.grid).fn),
         lambda f: lp_norm(f, p, wspec.sample(f.grid).fn),
-        fams=fams,
     )
     stab, checks = _stability(cases, th["stability_weighted"])
 
     # family-relative A_p constant of the weight, at two family resolutions
-    f0 = fams[0]
+    f0 = inp.fams[0]
     domain = Interval(f0.x0, f0.x1)
-    ml = sc.options.get("ap_min_len", 4.0 * f0.h)
+    ml = inp.opts.get("ap_min_len", 4.0 * f0.h)
 
     def ap_at(min_len: float, h: float) -> float:
         grid = UniformGrid(f0.x0, h, int(round((domain.hi - domain.lo) / h)))
@@ -462,21 +472,19 @@ def _run_weighted_pp(sc, th):
     return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
-def _run_weighted_weak11(sc, th):
-    wspec = parse_weight(sc.weight)
-    fams = _materialize_family(sc)
+def _run_weighted_weak11(sc, inp):
+    wspec = inp.weight
     cases = _family_cases(
-        sc,
+        inp,
         lambda v: weak_sup(v, wspec.sample(v.grid).fn.values),
         lambda f: lp_norm(f, 1.0, wspec.sample(f.grid).fn),
-        fams=fams,
     )
-    stab, checks = _stability(cases, th["stability_weighted"])
+    stab, checks = _stability(cases, inp.th["stability_weighted"])
 
     # diagnostic: A_1 estimate of w^dual_r near the support, the hypothesis
     # side of the weighted weak-type statement
-    dual_r = float(sc.options.get("dual_r", 2.0))
-    f0 = fams[0]
+    dual_r = inp.opts.get("dual_r", 2.0)
+    f0 = inp.fams[0]
     probe = UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))
     w_probe = wspec.sample(probe)
     w_pow = Weight(
@@ -490,13 +498,13 @@ def _run_weighted_weak11(sc, th):
     return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
-def _run_linf_bmo(sc, th):
+def _run_linf_bmo(sc, inp):
     def bmo_of(v: GridFunction) -> float:
         domain = Interval(v.x0, v.x1)
         return bmo_norm(v, make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False))
 
-    cases = _family_cases(sc, bmo_of, sup_norm)
-    stab, checks = _stability(cases, th["stability_bmo"])
+    cases = _family_cases(inp, bmo_of, sup_norm)
+    stab, checks = _stability(cases, inp.th["stability_bmo"])
     return _Outcome(cases, checks, stab["base"], stab)
 
 
@@ -533,17 +541,12 @@ def _zone_cells(I: Interval, seq, spec, points_per_scale: int) -> tuple[np.ndarr
     return np.concatenate(pts), np.concatenate(widths)
 
 
-def _run_h1_l1(sc, th):
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    opts = sc.options
-    exps = opts["scale_exps"]
-    per_scale = int(opts["atoms_per_scale"])
-    cells = int(opts["atom_cells"])
-    zp = int(opts["zone_points"])
+def _run_h1_l1(sc, inp):
+    seq, spec, th, opts = inp.seq, inp.spec, inp.th, inp.opts
+    per_scale, cells, zp = opts["atoms_per_scale"], opts["atom_cells"], opts["zone_points"]
     cases = []
     per_scale_sup: dict[int, float] = {}
-    for m in exps:
+    for m in opts["scale_exps"]:
         # the atoms of one scale share their interval, so they share its
         # grid and zone cells: one batched call per zone grid
         I = Interval(0.0, 2.0**m)
@@ -566,20 +569,19 @@ def _run_h1_l1(sc, th):
     return _Outcome(cases, checks, stab["base"], stab, {"atom_count": len(cases)})
 
 
-def _run_l2_multiplier(sc, th):
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    scan = sup_scan(seq, parse_xi_grid(sc.options["xi_grid"]), spec.k_max)
+def _run_l2_multiplier(sc, inp):
+    seq, k_max, th = inp.seq, inp.spec.k_max, inp.th
+    scan = sup_scan(seq, inp.opts["xi_grid"], k_max)
     sqrt_q = math.sqrt(scan.sup_q)
     bound = sqrt_q * th["multiplier_slack"]
-    eval_cells = int(sc.options["eval_cells"])
-    nk = seq.scales[spec.k_max]
+    eval_cells = inp.opts["eval_cells"]
+    nk = seq.scales[k_max]
 
     def grid_of(f, scale):
         span = (f.x1 + nk) - f.x0
         return UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale)
 
-    cases = _family_cases(sc, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grid_of)
+    cases = _family_cases(inp, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grid_of)
     stab, (finite, _) = _stability(cases, th["stability"])
     worst = stab["base"]
     detail = {"worst_ratio": worst, "bound": bound, "sqrt_sup_q": sqrt_q}
@@ -594,14 +596,11 @@ def _run_l2_multiplier(sc, th):
     return _Outcome(cases, checks, worst, stab, constants)
 
 
-def _run_vector_valued(sc, th):
-    seq = _seq_of(sc)
-    spec = _vspec(sc, seq)
-    fams = _materialize_family(sc)
-    p = sc.p
+def _run_vector_valued(sc, inp):
+    seq, spec, fams, p = inp.seq, inp.spec, inp.fams, sc.p
     rhos = tuple(sorted(sc.rho))
     f0 = fams[0]
-    grids = [_grid_for(f0, seq, spec, scale, sc.options.get("eval_h")) for scale in (1, 2)]
+    grids = [_grid_for(f0, inp, scale) for scale in (1, 2)]
     # V_s f does not depend on rho: one kernel call per member and grid
     aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids[0])))
     fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids[1])]
@@ -611,7 +610,7 @@ def _run_vector_valued(sc, th):
         rhs = lp_norm(GridFunction(f0.x0, f0.h, f_agg), p)
         lhs = lp_norm(aggs[rho], p)
         cases.append(CaseResult(f"rho{rho:g}", lhs, rhs, lhs / rhs, {"ratio_refined": lhs2 / rhs}))
-    slack = th["monotonicity_slack"]
+    slack = inp.th["monotonicity_slack"]
     mono_ok = True
     worst_gap = 0.0
     for lo, hi in zip(rhos, rhos[1:]):
@@ -620,7 +619,7 @@ def _run_vector_valued(sc, th):
         scale_ref = max(1.0, float(np.max(aggs[lo].values)))
         if gap > slack * scale_ref:
             mono_ok = False
-    stab, (finite, stable) = _stability(cases, th["stability"])
+    stab, (finite, stable) = _stability(cases, inp.th["stability"])
     checks = [
         finite,
         Check("aggregate_monotone_in_rho", mono_ok, {"worst_gap": worst_gap, "slack": slack}),
@@ -640,9 +639,9 @@ def _random_lacunary(rng, *, length_range=(2, 13), beta_range=(1.1, 3.0), gap_ex
         return LacunarySeq(tuple(scales), beta)
 
 
-def _run_refine_domination(sc, th):
+def _run_refine_domination(sc, inp):
     rng = np.random.default_rng(sc.seed)
-    n_seqs = int(sc.options["sequence_count"])
+    n_seqs = inp.opts["sequence_count"]
     bad_structure = 0
     for _ in range(n_seqs):
         seq = _random_lacunary(rng)
@@ -658,22 +657,20 @@ def _run_refine_domination(sc, th):
         float(bad_structure) / n_seqs, {"sequences": n_seqs},
     )
 
-    fams = _materialize_family(sc)
-    base_seq = _seq_of(sc)
-    dom_seqs = [base_seq] + [
+    dom_seqs = [inp.seq] + [
         _random_lacunary(rng, length_range=(2, 5), beta_range=(1.2, 2.5), gap_exp=1.2, max_top=100.0)
         for _ in range(3)
     ]
-    slack = th["domination_slack"]
+    slack = inp.th["domination_slack"]
     cases = [structure_case]
     worst = 0.0
     holder_ok = True
     refined = []  # Hoelder (gap, ratio) of the members whose refinement inserted scales
-    for i, f in enumerate(fams):
+    for i, f in enumerate(inp.fams):
         seq = dom_seqs[i % len(dom_seqs)]
         ref = refine(seq)
-        spec_o = _vspec(sc, seq, k_max=len(seq) - 1)
-        spec_r = _vspec(sc, ref, k_max=len(ref) - 1)
+        spec_o = replace(inp.spec, k_max=len(seq) - 1)
+        spec_r = replace(inp.spec, k_max=len(ref) - 1)
         grid = default_eval_grid(f, seq, len(seq) - 1)
         v_o = variation(f, seq, spec_o, grid)
         v_r = variation(f, ref, spec_r, grid)
@@ -725,19 +722,16 @@ def _run_refine_domination(sc, th):
     return _Outcome(cases, checks, worst, constants={"max_violation": worst})
 
 
-def _run_dr_condition(sc, th):
-    seq = _seq_of(sc)
-    k_max = sc.k_max if sc.k_max is not None else len(seq) - 1
-    kspec = KernelSpec(seq, s=sc.s, k_max=k_max)
-    opts = sc.options
-    j = int(opts["j"])
+def _run_dr_condition(sc, inp):
+    seq, th, opts = inp.seq, inp.th, inp.opts
+    kspec = KernelSpec(seq, s=sc.s, k_max=inp.spec.k_max)
+    j = opts["j"]
     i_lo, i_hi = opts["i_range"]
-    y = float(opts.get("y", seq.scales[j]))
-    l_max = int(opts["shell_l_max"])
+    y = opts.get("y", seq.scales[j])
     cases = []
     checks = []
     constants = {}
-    for r in [float(r) for r in opts["r_values"]]:
+    for r in opts["r_values"]:
         drs = [drlem_check(i, j, y, kspec, r) for i in range(i_lo, i_hi + 1)]
         for d in drs:
             cases.append(
@@ -750,7 +744,7 @@ def _run_dr_condition(sc, th):
         gaps = np.array([d.i - j for d in drs], dtype=np.float64)
         slope = float(np.polyfit(gaps, np.log(norm), 1)[0])
         target = -math.log(seq.beta) / r * (1.0 - th["decay_slope_slack"])
-        shells = shell_integrals(y, kspec, r, range(1, l_max + 1))
+        shells = shell_integrals(y, kspec, r, range(1, opts["shell_l_max"] + 1))
         total = float(np.sum(shells.c))
         tail_share = float(np.sum(shells.c[-5:])) / total
         tag = f"r{r:g}"
@@ -773,10 +767,9 @@ def _run_dr_condition(sc, th):
     return _Outcome(cases, checks, max(c.ratio for c in cases), constants=constants)
 
 
-def _run_fourier_bound(sc, th):
-    seq = _seq_of(sc)
-    grid = parse_xi_grid(sc.options["xi_grid"])
-    k_lo, k_hi = (int(k) for k in sc.options["k_pair"])
+def _run_fourier_bound(sc, inp):
+    seq, th, grid = inp.seq, inp.th, inp.opts["xi_grid"]
+    k_lo, k_hi = inp.opts["k_pair"]
     lo = sup_scan(seq, grid, k_lo)
     hi = sup_scan(seq, grid, k_hi)
     delta = abs(hi.sup_i - lo.sup_i)
@@ -824,12 +817,11 @@ def _run_fourier_bound(sc, th):
     return _Outcome(cases, checks, hi.sup_i / th["sup_i_bound"], constants=constants)
 
 
-def _run_indicator_identity(sc, th):
-    seq = _seq_of(sc)
+def _run_indicator_identity(sc, inp):
+    seq, opts = inp.seq, inp.opts
     g = gamma(seq.beta)
-    i_lo, i_hi = sc.options["i_range"]
-    y_count = int(sc.options["y_count"])
-    x_count = int(sc.options["x_count"])
+    i_lo, i_hi = opts["i_range"]
+    y_count, x_count = opts["y_count"], opts["x_count"]
     cases = []
     total_viol = 0
     for i in range(i_lo, i_hi + 1):
@@ -853,7 +845,7 @@ def _run_indicator_identity(sc, th):
 
 
 class _Kind(NamedTuple):
-    run: Callable  # (scenario, thresholds) -> _Outcome
+    run: Callable  # (scenario, its _Inputs) -> _Outcome
     options: tuple  # the `options` keys run reads
     defaults: dict  # the Scenario fields other than kind, at desk-scale budgets
 
@@ -905,10 +897,9 @@ SCENARIO_KINDS = tuple(KINDS)
 
 
 def run_scenario(sc: Scenario) -> VerificationReport:
-    sc.validate()
-    th = {**DEFAULT_THRESHOLDS, **sc.thresholds}
+    inp = _parse(sc)
     t0 = time.perf_counter()
-    out = KINDS[sc.kind].run(sc, th)
+    out = KINDS[sc.kind].run(sc, inp)
     elapsed = time.perf_counter() - t0
     return VerificationReport(
         kind=sc.kind,
@@ -918,7 +909,7 @@ def run_scenario(sc: Scenario) -> VerificationReport:
         sup_ratio=out.sup_ratio,
         stability=out.stability,
         constants=out.constants,
-        thresholds=th,
+        thresholds=inp.th,
         seed=sc.seed,
         passed=all(c.passed for c in out.checks),
         elapsed_s=elapsed,

@@ -126,6 +126,25 @@ def test_verify_error_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"kind": "weak_11", "enforce_tail": "yes"}, "enforce_tail"),
+        ({"kind": "weak_11", "thresholds": {"stability": None}}, "thresholds.stability"),
+        ({"kind": "weak_11", "p": 2.0}, "reads no p"),
+        ({"kind": "strong_pp", "family": {"cells": 0}}, "cells"),
+    ],
+    ids=["enforce-tail-not-bool", "threshold-null", "unread-p", "zero-cells"],
+)
+def test_verify_config_refused_before_the_run(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_config_file_and_csv(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "weak_11", "seed": 3}))

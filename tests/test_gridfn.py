@@ -411,6 +411,37 @@ def test_family_bad_params():
         make_family("nosuch", {})
 
 
+@pytest.mark.parametrize(
+    "kind, params, bad",
+    [
+        ("random_step", {"count": "many"}, "count"),
+        ("random_step", {"count": 2.5}, "count"),
+        ("random_step", {"count": 2, "cells": 0}, "cells"),
+        ("random_step", {"count": 2, "length": -1}, "length"),
+        ("random_step", {"count": 2, "length": float("inf")}, "length"),
+        ("random_step", {"count": 2, "seed": -1}, "seed"),
+        ("random_step", {"count": 2, "x0": "a"}, "x0"),
+        ("random_step", {"count": 2, "x0": float("nan")}, "x0"),
+        ("spike", {"epsilons": [0]}, "epsilons"),
+        ("spike", {"epsilons": [-1]}, "epsilons"),
+        ("spike", {"epsilons": []}, "epsilons"),
+        ("bump", {"scales": [1.0], "cells": True}, "cells"),
+        ("indicator", {"scales": "1"}, "scales"),
+        ("haar", {}, "scales"),
+    ],
+)
+def test_family_param_values_checked_before_any_member(kind, params, bad):
+    # these used to raise ZeroDivisionError, or a ValueError naming no parameter
+    with pytest.raises(BadParams, match=bad):
+        make_family(kind, params)
+
+
+def test_family_accepts_whole_float_counts():
+    fam = make_family("random_step", {"count": 2.0, "cells": 8.0, "seed": 3.0})
+    assert len(fam) == 2 and fam[0].n == 8
+    assert np.array_equal(fam[1].values, make_family("random_step", {"count": 2, "cells": 8, "seed": 3})[1].values)
+
+
 # --------------------------------------------------------------------- CSV
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import threading
@@ -137,13 +138,41 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "h1_l1", "options": {"scale_exps": [-15]}}, "options.scale_exps"),
         ({"kind": "h1_l1", "k_max": 20, "options": {"scale_exps": [7]}}, "options.scale_exps"),
         ({"kind": "dr_condition", "options": {"i_range": [2, 2]}}, "options.i_range"),
+        # values the library constructors refuse, which used to fail inside run_scenario
+        ({"kind": "weak_11", "tail_tol": 0}, "tail_tol"),
+        ({"kind": "weak_11", "tail_tol": "x"}, "tail_tol"),
+        ({"kind": "weak_11", "s": float("inf")}, "exponent s"),
+        ({"kind": "weak_11", "seq": [1.0], "beta": 2.0}, "seq has 1 scales"),
+        ({"kind": "strong_pp", "family": {"count": "many"}}, "count"),
+        ({"kind": "strong_pp", "family": {"length": -1}}, "length"),
+        ({"kind": "strong_pp", "family": {"cells": 0}}, "cells"),
+        ({"kind": "strong_pp", "family": {"seed": -1}}, "seed"),
+        ({"kind": "strong_pp", "family": {"x0": "a"}}, "x0"),
+        ({"kind": "weak_11", "family": {"epsilons": [0]}}, "epsilons"),
+        ({"kind": "weak_11", "family": {"epsilons": [-1]}}, "epsilons"),
+        ({"kind": "weak_11", "family": {"epsilons": [1e-320]}}, "family"),
+        # a non-bool turned the tail gate on, and non-numeric thresholds
+        # failed at their first comparison
+        ({"kind": "weak_11", "enforce_tail": "yes"}, "enforce_tail"),
+        ({"kind": "weak_11", "thresholds": {"stability": "x"}}, "thresholds.stability"),
+        ({"kind": "weak_11", "thresholds": {"stability": None}}, "thresholds.stability"),
+        # offsets and indices the kernel checks refuse
+        ({"kind": "dr_condition", "options": {"y": 1e9}}, "options.y"),
+        ({"kind": "dr_condition", "options": {"y": 1.5}}, "options.y"),
+        ({"kind": "dr_condition", "options": {"j": 5}}, "options.i_range"),
+        ({"kind": "dr_condition", "k_max": 3}, "options.i_range"),
+        # fields a kind does not read, which it used to ignore
+        ({"kind": "weak_11", "p": 2.0}, "reads no p"),
+        ({"kind": "weak_11", "rho": [2.0]}, "reads no rho"),
+        ({"kind": "weak_11", "weight": "power:0.5"}, "reads no weight"),
+        ({"kind": "dr_condition", "family": {"kind": "spike", "epsilons": [0.5]}}, "reads no family"),
     ):
         with pytest.raises(ScenarioInvalid, match=bad):
             from_config(cfg)
     for kind in SCENARIO_KINDS:
         from_config({"kind": kind, "options": default_scenario(kind).options})
     from_config({"kind": "weighted_weak11", "options": {"eval_h": 0.125, "dual_r": 3.0}})
-    from_config({"kind": "dr_condition", "options": {"y": 1.5}})
+    from_config({"kind": "dr_condition", "options": {"y": 0.5}})
     from_config({"kind": "l2_multiplier", "options": {"eval_cells": 256}})
     from_config({"kind": "strong_pp", "seed": 7, "k_max": 3})
     from_config({"kind": "strong_pp", "k_max": None})
@@ -333,6 +362,24 @@ def test_vector_valued_computes_each_variation_once(monkeypatch):
     # V_s f does not depend on rho: each member once on the base grid and
     # once on the refined one
     assert len(calls) == 2 * 2
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_run_scenario_parses_each_input_once(monkeypatch, kind):
+    sc = from_config({"kind": kind})
+    calls = collections.Counter()
+    for name in ("parse_sequence", "parse_weight", "parse_xi_grid", "make_family"):
+        def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    # the options table holds parse_xi_grid itself, not the module name
+    what, ok, _ = harness.OPTION_CHECKS["xi_grid"]
+    monkeypatch.setitem(harness.OPTION_CHECKS, "xi_grid", (what, ok, harness.parse_xi_grid))
+    run_scenario(sc)
+    assert calls["parse_sequence"] == 1
+    assert max(calls.values()) == 1, calls
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
