@@ -8,7 +8,8 @@ cover that end of the grid.  On that grid the sup moves by 2.7e-3 from depth
 20 to 40 but by only 2.0e-8 from 40 to 80.  This script prints the sup at a
 ladder of depths with the per-step delta, and the width of the certified
 enclosure [sup I_K, max(I_K + T_K)] built from the tail majorant T_K
-(`multiplier_tail`), so the plateau is visible directly.
+(`multiplier_tail`), so the plateau is visible directly.  One
+`multiplier_scans` pass over the grid gives every depth.
 
     python3 scripts/multiplier_truncation_study.py --seq geometric:1:2:81 \
         --depths 5,10,20,40,80 --xi log:1e-6:1e6:8192
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from lacvar import multiplier_tail, parse_sequence, parse_xi_grid, sup_scan
+from lacvar import multiplier_scans, multiplier_tail, parse_sequence, parse_xi_grid
 
 
 def main(argv=None) -> int:
@@ -44,10 +45,9 @@ def main(argv=None) -> int:
     rows = []
     prev = None
     print(f"{'depth':>6} {'sup I':>20} {'argmax xi':>14} {'delta':>12} {'width':>12}")
-    for k in depths:
-        s = sup_scan(seq, xi, k)
+    for k, s in zip(depths, multiplier_scans(seq, xi, depths)):
         delta = s.sup_i - prev if prev is not None else float("nan")
-        width = float(np.max(s.scan.i_sum + multiplier_tail(seq, xi, k))) - s.sup_i
+        width = float(np.max(s.i_sum + multiplier_tail(seq, xi, k))) - s.sup_i
         print(f"{k:>6} {s.sup_i:>20.12f} {s.argmax_xi:>14.6g} {delta:>12.3e} {width:>12.3e}")
         rows.append((k, s.sup_i, s.argmax_xi, delta, width))
         prev = s.sup_i

@@ -7,6 +7,14 @@ aliasing to worry about.  The module computes the telescoping multiplier
 sums (the first-difference l^1 sum I with its two-regime split I1 + I2 and
 the squared sum Q) and checks the derivative bound used to control the
 large-frequency regime.
+
+The multiplier scan streams the frequency grid in blocks of rows that hold
+at most _BLOCK_BYTES of F values, so its scratch is a few such blocks
+whatever the grid size.  One scan serves several truncation depths: F is
+evaluated once, at the deepest scale asked for, and each depth sums the
+first columns of the block.  Every sum runs along one frequency's row, so
+the result at each depth has the same bits as a whole-grid scan at that
+depth alone.
 """
 
 from __future__ import annotations
@@ -78,6 +86,16 @@ def fprime(r):
     return complex(out[0]) if scalar else out
 
 
+# Bytes of complex F values per block of the multiplier scan.  A scan that
+# fits, such as l2_multiplier's 13 scales on 16,385 frequencies (3.25 MiB),
+# runs as one block.  Blocks of 512 rows made the variation passes that
+# follow such a scan about 30% slower: glibc malloc raises its mmap and
+# heap-trim thresholds only when a large mmapped block is freed, and without
+# that every family member's ~3 MiB of arrays was trimmed from the heap and
+# faulted back in (73.7k minor faults per l2_multiplier run, not 1.8-2.7k).
+_BLOCK_BYTES = 4 << 20
+
+
 @dataclass(frozen=True, eq=False)
 class MultiplierScan:
     """Per-frequency multiplier sums over a truncated scale family.
@@ -94,23 +112,73 @@ class MultiplierScan:
     q_sum: np.ndarray = field(repr=False)
     k_max: int = 0
 
+    @property
+    def sup_i(self) -> float:
+        """The grid sup of i_sum."""
+        return float(np.max(self.i_sum))
 
-def multiplier_sums(seq: LacunarySeq, xi, k_max: int) -> MultiplierScan:
-    if k_max > len(seq) - 1:
-        raise ValueError(f"k_max={k_max} exceeds sequence length {len(seq)} - 1")
-    if k_max < 1:
-        raise ValueError("need k_max >= 1 for at least one difference")
+    @property
+    def sup_q(self) -> float:
+        """The grid sup of q_sum."""
+        return float(np.max(self.q_sum))
+
+    @property
+    def argmax_xi(self) -> float:
+        """The first grid frequency where i_sum reaches sup_i."""
+        return float(self.xi[np.argmax(self.i_sum)])
+
+
+def multiplier_scans(seq: LacunarySeq, xi, depths) -> list[MultiplierScan]:
+    """The multiplier sums over the grid xi at each truncation depth in depths.
+
+    One pass over the grid serves every depth.  The grid is streamed in
+    blocks of _BLOCK_BYTES // (16 (K + 1)) frequencies for the deepest depth
+    K, so the scratch is a few blocks whatever the grid size.  Each block
+    evaluates F(xi n_k) once, for k up to K, and each depth k_max sums the
+    first k_max columns of the block's differences.  The sums run along
+    rows, so each depth's arrays are bit-for-bit those of a whole-grid scan
+    at that depth alone.  Depths may come in any order and repeat; the
+    scans come back in the order asked, one per entry.
+    """
+    depths = tuple(depths)
+    if not depths:
+        raise ValueError("need at least one depth")
+    for k_max in depths:
+        if k_max > len(seq) - 1:
+            raise ValueError(f"k_max={k_max} exceeds sequence length {len(seq)} - 1")
+        if k_max < 1:
+            raise ValueError("need k_max >= 1 for at least one difference")
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.size == 0:
         raise EmptyGrid("frequency grid is empty")
-    scales = np.array(seq.scales[: k_max + 1])
-    hat = F_eval(np.multiply.outer(xi, scales))
-    diffs = np.abs(np.diff(hat, axis=1))
-    high = np.abs(xi)[:, None] * scales[None, 1:] >= 1.0
-    i_high = np.sum(diffs * high, axis=1)
-    i_low = np.sum(diffs * ~high, axis=1)
-    q_sum = np.sum(diffs * diffs, axis=1)
-    return MultiplierScan(xi, i_high + i_low, i_high, i_low, q_sum, k_max)
+    scales = np.array(seq.scales[: max(depths) + 1])
+    step = max(1, _BLOCK_BYTES // (16 * scales.size))
+    # per depth: i_high, i_low and q_sum, filled block by block
+    sums = {k: np.empty((3, xi.size)) for k in depths}
+    for at in range(0, xi.size, step):
+        rows = xi[at : at + step]
+        diffs = np.abs(np.diff(F_eval(np.multiply.outer(rows, scales)), axis=1))
+        high = np.abs(rows)[:, None] * scales[None, 1:] >= 1.0
+        for k, out in sums.items():
+            d, h = diffs[:, :k], high[:, :k]
+            out[0, at : at + step] = np.sum(d * h, axis=1)
+            out[1, at : at + step] = np.sum(d * ~h, axis=1)
+            out[2, at : at + step] = np.sum(d * d, axis=1)
+    scans = {
+        k: MultiplierScan(xi, i_high + i_low, i_high, i_low, q_sum, k)
+        for k, (i_high, i_low, q_sum) in sums.items()
+    }
+    return [scans[k] for k in depths]
+
+
+def multiplier_sums(seq: LacunarySeq, xi, k_max: int) -> MultiplierScan:
+    """The multiplier sums over the grid xi at depth k_max.
+
+    The one-depth case of multiplier_scans, on its one code path: the grid
+    is streamed in blocks of at most _BLOCK_BYTES of F values, so the
+    scratch is a few blocks whatever the grid size.
+    """
+    return multiplier_scans(seq, xi, (k_max,))[0]
 
 
 def multiplier_tail(seq: LacunarySeq, xi, k_max: int) -> np.ndarray:
@@ -132,25 +200,6 @@ def multiplier_tail(seq: LacunarySeq, xi, k_max: int) -> np.ndarray:
     nz = xi > 0.0
     out[nz] = 2.0 * (beta + 1.0) / ((beta - 1.0) * xi[nz] * seq.scales[k_max])
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class ScanSummary:
-    scan: MultiplierScan
-    sup_i: float
-    sup_q: float
-    argmax_xi: float
-
-
-def sup_scan(seq: LacunarySeq, xi_grid, k_max: int) -> ScanSummary:
-    scan = multiplier_sums(seq, xi_grid, k_max)
-    at = int(np.argmax(scan.i_sum))
-    return ScanSummary(
-        scan,
-        float(scan.i_sum[at]),
-        float(np.max(scan.q_sum)),
-        float(scan.xi[at]),
-    )
 
 
 def default_xi_grid(lo: float = 1e-6, hi: float = 1e6, count: int = 8192) -> np.ndarray:

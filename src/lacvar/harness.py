@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variations_at, vector_variations
-from .fourier import multiplier_tail, parse_xi_grid, sup_scan
+from .fourier import multiplier_scans, multiplier_sums, multiplier_tail, parse_xi_grid
 from .gridfn import (
     GridFunction,
     Interval,
@@ -159,6 +159,7 @@ class _Inputs(NamedTuple):
     fams: list  # the family's members, empty for the kinds that read none
     th: dict  # DEFAULT_THRESHOLDS with the scenario's own over them
     opts: dict  # the options as OPTION_CHECKS reads them
+    probe: object  # weighted_pp's A_p families, weighted_weak11's w^dual_r, else None
 
 
 def _parse(sc: Scenario) -> _Inputs:
@@ -251,7 +252,22 @@ def _parse(sc: Scenario) -> _Inputs:
     ):
         if key in opts and not ok(opts[key]):
             raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {sc.options[key]!r}")
-    return _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts)
+    # what the weighted kinds build from an option, the family and the weight:
+    # A_p probe families at ap_min_len and half of it, and w^dual_r on one
+    # unit from the family's left end
+    probe, f0 = None, fams[0] if fams else None
+    try:
+        if sc.kind == "weighted_pp":
+            key, ml = "ap_min_len", opts.get("ap_min_len", 4.0 * f0.h)
+            probe = [make_dyadic_family(Interval(f0.x0, f0.x1), m, shifts=(0.0, 0.5)) for m in (ml, ml / 2.0)]
+        if sc.kind == "weighted_weak11":
+            key, r = "dual_r", opts.get("dual_r", 2.0)
+            w = weight.sample(UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))).fn
+            with np.errstate(over="ignore"):
+                probe = Weight(GridFunction(w.x0, w.h, w.values**r), f"{weight.label}^{r:g}")
+    except ValueError as exc:  # EmptyFamily, a power that overflows or underflows to 0
+        raise ScenarioInvalid(f"options.{key}: {exc}") from exc
+    return _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, probe)
 
 
 def default_scenario(kind: str) -> Scenario:
@@ -450,16 +466,12 @@ def _run_weighted_pp(sc, inp):
 
     # family-relative A_p constant of the weight, at two family resolutions
     f0 = inp.fams[0]
-    domain = Interval(f0.x0, f0.x1)
-    ml = inp.opts.get("ap_min_len", 4.0 * f0.h)
 
-    def ap_at(min_len: float, h: float) -> float:
-        grid = UniformGrid(f0.x0, h, int(round((domain.hi - domain.lo) / h)))
-        fam = make_dyadic_family(domain, min_len, shifts=(0.0, 0.5), inside_only=True)
+    def ap_at(fam, h: float) -> float:
+        grid = UniformGrid(f0.x0, h, int(round((f0.x1 - f0.x0) / h)))
         return ap_constant(wspec.sample(grid), p, fam)
 
-    ap_base = ap_at(ml, f0.h)
-    ap_fine = ap_at(ml / 2.0, f0.h / 2.0)
+    ap_base, ap_fine = (ap_at(fam, h) for fam, h in zip(inp.probe, (f0.h, f0.h / 2.0)))
     ap_change = _rel_change(ap_base, ap_fine)
     checks.append(
         Check(
@@ -483,16 +495,8 @@ def _run_weighted_weak11(sc, inp):
 
     # diagnostic: A_1 estimate of w^dual_r near the support, the hypothesis
     # side of the weighted weak-type statement
-    dual_r = inp.opts.get("dual_r", 2.0)
-    f0 = inp.fams[0]
-    probe = UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))
-    w_probe = wspec.sample(probe)
-    w_pow = Weight(
-        GridFunction(probe.x0, probe.h, w_probe.fn.values**dual_r),
-        f"{wspec.label}^{dual_r:g}",
-    )
-    fam = make_dyadic_family(Interval(probe.x0, probe.x1), 2.0 * probe.h, inside_only=True)
-    a1 = a1_constant(w_pow, fam)
+    dual_r, w = inp.opts.get("dual_r", 2.0), inp.probe.fn
+    a1 = a1_constant(inp.probe, make_dyadic_family(Interval(w.x0, w.x1), 2.0 * w.h))
     checks.append(Check("a1_hypothesis_finite", math.isfinite(a1), {"a1_estimate": a1}))
     constants = {"a1_estimate": a1, "dual_r": dual_r, "weight": wspec.label}
     return _Outcome(cases, checks, stab["base"], stab, constants)
@@ -571,7 +575,7 @@ def _run_h1_l1(sc, inp):
 
 def _run_l2_multiplier(sc, inp):
     seq, k_max, th = inp.seq, inp.spec.k_max, inp.th
-    scan = sup_scan(seq, inp.opts["xi_grid"], k_max)
+    scan = multiplier_sums(seq, inp.opts["xi_grid"], k_max)
     sqrt_q = math.sqrt(scan.sup_q)
     bound = sqrt_q * th["multiplier_slack"]
     eval_cells = inp.opts["eval_cells"]
@@ -769,16 +773,13 @@ def _run_dr_condition(sc, inp):
 
 def _run_fourier_bound(sc, inp):
     seq, th, grid = inp.seq, inp.th, inp.opts["xi_grid"]
-    k_lo, k_hi = inp.opts["k_pair"]
-    lo = sup_scan(seq, grid, k_lo)
-    hi = sup_scan(seq, grid, k_hi)
+    lo, hi = multiplier_scans(seq, grid, inp.opts["k_pair"])
     delta = abs(hi.sup_i - lo.sup_i)
-    i2_max = float(np.max(hi.scan.i_low))
-    at0 = float(hi.scan.i_sum[int(np.argmin(np.abs(hi.scan.xi)))])
+    i2_max = float(np.max(hi.i_low))
+    at0 = float(hi.i_sum[int(np.argmin(np.abs(hi.xi)))])
     # certified enclosure [sup I_K, max(I_K + T_K)] of the untruncated grid sup
     up_lo, up_hi = (
-        float(np.max(s.scan.i_sum + multiplier_tail(seq, grid, k)))
-        for s, k in ((lo, k_lo), (hi, k_hi))
+        float(np.max(s.i_sum + multiplier_tail(seq, grid, s.k_max))) for s in (lo, hi)
     )
     width_hi = up_hi - hi.sup_i
     cases = [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from lacvar import (
     default_xi_grid,
     fprime,
     fprime_check,
+    multiplier_scans,
     multiplier_sums,
     multiplier_tail,
     parse_sequence,
     parse_xi_grid,
-    sup_scan,
 )
+from lacvar import fourier
 
 
 def _quad_oracle(r: float, nodes: int = 40001) -> complex:
@@ -201,20 +203,117 @@ def test_multiplier_rejects_bad_depth(dyadic13):
         multiplier_sums(dyadic13, np.array([1.0]), 0)
     with pytest.raises(ValueError):
         multiplier_sums(dyadic13, np.array([1.0]), 13)
+    # no depth, or one bad depth among good ones
+    for depths in ((), (5, 13), (12, 0, 3)):
+        with pytest.raises(ValueError):
+            multiplier_scans(dyadic13, np.array([1.0]), depths)
 
 
 def test_multiplier_rejects_empty_grid(dyadic13):
     with pytest.raises(EmptyGrid):
         multiplier_sums(dyadic13, np.array([]), 12)
+    with pytest.raises(EmptyGrid):
+        multiplier_scans(dyadic13, np.array([]), (3, 12))
 
 
-def test_sup_scan_argmax_consistency(dyadic13):
+def _whole_grid_scan(seq, xi, k_max):
+    """The scan as one (grid, k_max + 1) evaluation: the oracle of the blocks."""
+    scales = np.array(seq.scales[: k_max + 1])
+    hat = F_eval(np.multiply.outer(xi, scales))
+    diffs = np.abs(np.diff(hat, axis=1))
+    high = np.abs(xi)[:, None] * scales[None, 1:] >= 1.0
+    i_high = np.sum(diffs * high, axis=1)
+    i_low = np.sum(diffs * ~high, axis=1)
+    q_sum = np.sum(diffs * diffs, axis=1)
+    return i_high + i_low, i_high, i_low, q_sum
+
+
+def _assert_scan_is_oracle(scan, seq, xi, k_max):
+    assert scan.k_max == k_max
+    assert scan.xi.tobytes() == xi.tobytes()
+    got = (scan.i_sum, scan.i_high, scan.i_low, scan.q_sum)
+    for a, b in zip(got, _whole_grid_scan(seq, xi, k_max)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# rows per block of a scan to depth 40
+_ROWS_AT_40 = fourier._BLOCK_BYTES // (16 * 41)
+
+
+def _edge_grid(size, rows):
+    """size frequencies from 1e-7 to 1e4 in magnitude, both signs, with 0 in
+    the middle and |xi| < 1e-3 (F_eval's series branch at the low scales)
+    on both sides of the first edge of blocks of rows, or at the end of a
+    single block."""
+    rng = np.random.default_rng(size)
+    xi = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-7.0, 4.0, size)
+    edge = min(rows, size - 1)
+    xi[max(edge - 1, 0)] = -3e-7
+    xi[edge] = 5e-6
+    xi[size // 2] = 0.0
+    return xi
+
+
+@pytest.mark.parametrize("size", [1, _ROWS_AT_40 - 1, _ROWS_AT_40, _ROWS_AT_40 + 1, 16385])
+def test_multiplier_scans_match_whole_grid_formula(size):
+    # every sum runs along one frequency's row, so blocks of rows and shared
+    # depths give each depth the bits of the whole-grid formula at that depth
+    seq = parse_sequence("geometric:1:2:41")
+    grids = [_edge_grid(size, _ROWS_AT_40)]
+    if size == 16385:
+        grids.append(default_xi_grid())
+    depths = (40, 3, 20, 1, 20, 40)
+    for xi in grids:
+        scans = multiplier_scans(seq, xi, depths)
+        assert [s.k_max for s in scans] == list(depths)
+        for scan, k in zip(scans, depths):
+            _assert_scan_is_oracle(scan, seq, xi, k)
+        _assert_scan_is_oracle(multiplier_sums(seq, xi, 20), seq, xi, 20)
+
+
+@given(
+    st.integers(1, 16 * 13 * 6),
+    st.integers(1, 40),
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.data(),
+)
+def test_multiplier_scans_any_block_size(block_bytes, size, depths, data):
+    # blocks of 1 to 6 rows, or one row when a row does not fit
+    seq = parse_sequence("geometric:0.5:3:13")
+    xi = np.array(data.draw(st.lists(st.floats(-1e4, 1e4), min_size=size, max_size=size)))
+    old = fourier._BLOCK_BYTES
+    fourier._BLOCK_BYTES = block_bytes
+    try:
+        scans = multiplier_scans(seq, xi, depths)
+    finally:
+        fourier._BLOCK_BYTES = old
+    for scan, k in zip(scans, depths):
+        _assert_scan_is_oracle(scan, seq, xi, k)
+
+
+def test_multiplier_scratch_does_not_grow_with_grid():
+    # the whole-grid formula peaked at 41.5 MiB on this grid at 41 scales;
+    # F_eval keeps about 4.5 blocks of complex values alive at once
+    seq = parse_sequence("geometric:1:2:41")
+    xi = default_xi_grid()
+    multiplier_sums(seq, xi[:8], 40)  # warm numpy outside the traced call
+    tracemalloc.start()
+    try:
+        multiplier_sums(seq, xi, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def test_scan_sups_match_its_arrays(dyadic13):
     xi = default_xi_grid(1e-5, 1e5, 1024)
-    summary = sup_scan(dyadic13, xi, 12)
-    at = int(np.argmax(summary.scan.i_sum))
-    assert summary.sup_i == summary.scan.i_sum[at]
-    assert summary.argmax_xi == summary.scan.xi[at]
-    assert summary.sup_q == np.max(summary.scan.q_sum)
+    scan = multiplier_sums(dyadic13, xi, 12)
+    at = int(np.argmax(scan.i_sum))
+    assert scan.sup_i == scan.i_sum[at]
+    assert scan.argmax_xi == scan.xi[at]
+    assert scan.sup_q == np.max(scan.q_sum)
 
 
 # -------------------------------------------------------------------- grids

@@ -161,6 +161,12 @@ def test_from_config_rejects_unknown_fields():
         ({"kind": "dr_condition", "options": {"y": 1.5}}, "options.y"),
         ({"kind": "dr_condition", "options": {"j": 5}}, "options.i_range"),
         ({"kind": "dr_condition", "k_max": 3}, "options.i_range"),
+        # probes the weighted kinds build from an option: no dyadic level of
+        # the A_p family fits the domain, or w^dual_r overflows or underflows
+        ({"kind": "weighted_pp", "options": {"ap_min_len": 100.0}}, "options.ap_min_len"),
+        ({"kind": "weighted_pp", "family": {"x0": -0.7}, "options": {"ap_min_len": 2.0}}, "options.ap_min_len"),
+        ({"kind": "weighted_weak11", "options": {"dual_r": 1e6}}, "options.dual_r"),
+        ({"kind": "weighted_weak11", "options": {"dual_r": -1e6}}, "options.dual_r"),
         # fields a kind does not read, which it used to ignore
         ({"kind": "weak_11", "p": 2.0}, "reads no p"),
         ({"kind": "weak_11", "rho": [2.0]}, "reads no rho"),
@@ -172,6 +178,7 @@ def test_from_config_rejects_unknown_fields():
     for kind in SCENARIO_KINDS:
         from_config({"kind": kind, "options": default_scenario(kind).options})
     from_config({"kind": "weighted_weak11", "options": {"eval_h": 0.125, "dual_r": 3.0}})
+    from_config({"kind": "weighted_pp", "options": {"ap_min_len": 2.0}})  # the family's length
     from_config({"kind": "dr_condition", "options": {"y": 0.5}})
     from_config({"kind": "l2_multiplier", "options": {"eval_cells": 256}})
     from_config({"kind": "strong_pp", "seed": 7, "k_max": 3})
