@@ -12,11 +12,14 @@ it the level is a plain quotient, and right of it the level and every
 difference up to that scale are zero, so those points are skipped.  Right
 of the support, where every window holds all of it or none of it, V_s f is
 flat between consecutive shifted supports: it is folded at one point per
-flat stretch and copied.  Points out of order are sorted once, so every
-chunk finds its stretches and zones by binary search.  `variations_at`
-folds several functions on one grid at once: the zones, stretches and
-chunk cuts are found once for all of them, and each step of the fold is
-one array operation over every row; `variation_at` is its one-row case.
+flat stretch and copied.  Points out of order are sorted once, so the
+stretches are cut once by binary search over the whole input, and the
+points left to fold are packed into full batches, each folded by one call.
+`variations_at` folds several functions on one grid at once: the zones,
+stretches and batches are found once for all of them, and each step of the
+fold is one array operation over every row; `variation_at` is its one-row
+case.  `variation` samples at a grid's midpoints, which are ascending by
+construction, so it skips the order check.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import numpy as np
 from .gridfn import GridFunction, GridMismatch, UniformGrid, require_same_grid
 from .lacunary import LacunarySeq
 
-# Points per chunk of variation_at: its scratch is a few arrays of this size.
+# Points per fold batch of variations_at, over the number of functions: its
+# scratch is a few arrays of this size.
 _CHUNK = 1 << 14
 
 
@@ -137,7 +141,7 @@ def _fold_power(acc: np.ndarray, comp: np.ndarray, term: np.ndarray, s: float, b
     is >= 0 and so is acc, so the larger magnitude is the larger value:
     max/min pick the same branch as comparing absolute values would.
     Folding terms in a fixed order with this compensation keeps results
-    independent of how the points are split into chunks.
+    independent of how the points are split into batches.
     """
     term **= s
     np.maximum(acc, term, out=big)
@@ -286,6 +290,25 @@ def _fold(fs: list[GridFunction], scales, s: float, x: np.ndarray, below: np.nda
     return acc
 
 
+def _batches(spans: list[tuple[int, int]], size: int):
+    """The spans [a, b) in order, cut into batches of up to size points.
+
+    A span may be split across batches, and several spans may share one.
+    """
+    batch, room = [], size
+    for a, b in spans:
+        while a < b:
+            take = min(b - a, room)
+            batch.append((a, a + take))
+            a += take
+            room -= take
+            if not room:
+                yield batch
+                batch, room = [], size
+    if batch:
+        yield batch
+
+
 def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -> np.ndarray:
     """V_s f at ascending x, one row per f, where NaN may only come last and gives NaN."""
     vals = np.empty((len(fs), x.size), dtype=np.float64)
@@ -293,28 +316,42 @@ def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -
     vals[:, m:] = np.nan
     # the functions share a grid, so they share the zones and the stretches
     below, above = _zone_edges(fs[0], scales)
-    bounds = _flat_stretches(fs[0].x1, below, above)
-    chunk = max(1, _CHUNK // len(fs))
-    for lo in range(0, m, chunk):
-        # the chunk starts at the last point of the one before, which is
-        # done, so a flat stretch that goes on past it copies its value
-        start = max(lo - 1, 0)
-        xc = x[start : min(lo + chunk, m)]
-        out = vals[:, start : start + xc.size]
-        # past the first point of each flat stretch, the points copy it;
-        # the spans between are folded
-        cuts = np.searchsorted(xc, bounds).tolist()
-        copied = [(a + 1, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 1]
-        ends = [lo - start, *(i for ab in copied for i in ab), xc.size]
-        spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
-        if spans:
-            res = _fold(fs, scales, s, np.concatenate([xc[a:b] for a, b in spans]), below, above)
-            at = 0
-            for a, b in spans:
-                out[:, a:b] = res[at : at + b - a].T
-                at += b - a
-        for a, b in copied:
-            out[:, a:b] = out[:, a - 1 : a]
+    cuts = np.searchsorted(x[:m], _flat_stretches(fs[0].x1, below, above)).tolist()
+    # past the first point of each flat stretch, the points copy it; the
+    # spans between are folded, packed into full batches
+    copied = [(a + 1, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 1]
+    ends = [0, *(i for ab in copied for i in ab), m]
+    spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+    for batch in _batches(spans, max(1, _CHUNK // len(fs))):
+        res = _fold(fs, scales, s, np.concatenate([x[a:b] for a, b in batch]), below, above)
+        at = 0
+        for a, b in batch:
+            vals[:, a:b] = res[at : at + b - a].T
+            at += b - a
+    for a, b in copied:
+        vals[:, a:b] = vals[:, a - 1 : a]
+    return vals
+
+
+def _ascending(x: np.ndarray) -> bool:
+    """x is ascending and NaN-free, checked a chunk at a time.
+
+    A lone NaN passes the pairwise test, so each window's first point is
+    tested alone.
+    """
+    windows = (x[lo : lo + _CHUNK + 1] for lo in range(0, x.size, _CHUNK))
+    return all(w[0] == w[0] and np.all(w[1:] >= w[:-1]) for w in windows)
+
+
+def _gated_variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, x: np.ndarray) -> np.ndarray:
+    """variations_at at ascending x where NaN may only come last, unchecked.
+
+    When spec.enforce_tail is on, each row is held to the tail gate in turn.
+    """
+    vals = _variation_sorted(fs, seq.scales[: spec.k_max + 1], spec.s, x)
+    if spec.enforce_tail:
+        for f, row in zip(fs, vals):
+            _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(row, initial=0.0)), spec, seq)
     return vals
 
 
@@ -323,29 +360,31 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
 
     The functions must share one grid (GridMismatch otherwise).  Everything
     that depends only on the grid and the points is done once for all of
-    them: the order check, the zone edges, the flat stretches and the chunk
-    cuts.  Each elementwise step of the fold is one call over every row;
+    them: the order check, the zone edges, the flat stretches and the fold
+    batches.  Each elementwise step of the fold is one call over every row;
     only each function's primitive, interpolated and subtracted from the
     upper one at each scale, takes a call per function.
 
     Input out of order or holding NaN is sorted by one stable argsort and
-    the result scattered back; NaN sorts last and gives NaN.  The sorted
-    points are taken in chunks of _CHUNK // len(fs) and each scale is
-    folded into the running sums as soon as its levels are known, so the
-    scratch memory is O(_CHUNK) whatever the number of scales and
+    the result scattered back; NaN sorts last and gives NaN.  Right of the
+    support, the points that are in L or R (below) at every scale and lie
+    between the same two windows run the same float operations: each such
+    flat stretch is cut once over the whole input, folds its first point
+    and copies that value to the rest.  The points left to fold are packed
+    in order into batches of _CHUNK // len(fs); a span between stretches
+    may be split across batches and several may share one.  Each scale is
+    folded into a batch's running sums as soon as its levels are known, so
+    the scratch memory is O(_CHUNK) whatever the number of scales and
     functions: only the result, and for input out of order the sort, grow
     with len(x).
 
-    At scale n a chunk falls into three zones, found on v = fl(x - n) by
+    At scale n a batch falls into three zones, found on v = fl(x - n) by
     binary search: L, a prefix with v < x0, where the lower primitive is
     0 and the level is upper / n; M, where primitive_at interpolates; R, a
     suffix with v >= x1, where the level is 0 at this scale and every
-    smaller one, so the difference and the fold are skipped there.  Right
-    of the support, the points that are in L or R at every scale and lie
-    between the same two windows run the same float operations: each such
-    flat stretch folds its first point in the chunk, or goes on from the
-    last point of the chunk before, and copies that value to the rest.  So
-    a point gets the same bits for every split, order and batch.
+    smaller one, so the difference and the fold are skipped there.  The
+    fold is elementwise, so a point gets the same bits for every split,
+    order and batch.
 
     When spec.enforce_tail is on, each row is held to the tail gate in
     turn, and the first that fails raises TailTooLarge.
@@ -356,20 +395,12 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
         require_same_grid(fs[0], g)
     spec.check_seq(seq)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    scales = seq.scales[: spec.k_max + 1]
-    # ascending and NaN-free, checked a chunk at a time; a lone NaN passes
-    # the pairwise test, so each window's first point is tested alone
-    windows = (x[lo : lo + _CHUNK + 1] for lo in range(0, x.size, _CHUNK))
-    if all(w[0] == w[0] and np.all(w[1:] >= w[:-1]) for w in windows):
-        vals = _variation_sorted(fs, scales, spec.s, x)
-    else:
-        order = np.argsort(x, kind="stable")
-        got = _variation_sorted(fs, scales, spec.s, x[order])  # the sorted copy is freed here
-        vals = np.empty_like(got)
-        vals[:, order] = got
-    if spec.enforce_tail:
-        for f, row in zip(fs, vals):
-            _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(row, initial=0.0)), spec, seq)
+    if _ascending(x):
+        return _gated_variations(fs, seq, spec, x)
+    order = np.argsort(x, kind="stable")
+    got = _gated_variations(fs, seq, spec, x[order])  # the sorted copy is freed here
+    vals = np.empty_like(got)
+    vals[:, order] = got
     return vals
 
 
@@ -388,10 +419,13 @@ def variation(
     eval_grid: UniformGrid | None = None,
 ) -> GridFunction:
     """V_s f sampled at eval-grid midpoints (default grid: support + right pad)."""
+    spec.check_seq(seq)
     if eval_grid is None:
         eval_grid = default_eval_grid(f, seq, spec.k_max)
-    vals = variation_at(f, seq, spec, eval_grid.midpoints)
-    return GridFunction(eval_grid.x0, eval_grid.h, vals)
+    # midpoints are ascending and NaN-free, so the order check is skipped
+    vals = _gated_variations([f], seq, spec, eval_grid.midpoints)
+    vals.setflags(write=False)
+    return GridFunction(eval_grid.x0, eval_grid.h, vals[0])
 
 
 def vector_variations(
@@ -431,6 +465,7 @@ def vector_variations(
         acc, comp = sums.pop(0)  # each sum is freed once its result is made
         acc += comp
         acc **= 1.0 / rho
+        acc.setflags(write=False)
         out.append(GridFunction(eval_grid.x0, eval_grid.h, acc))
     return out
 

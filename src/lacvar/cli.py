@@ -65,7 +65,9 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             f"evaluation grid needs {grid.n} cells (cap {args.max_cells}); "
             "raise --eval-h or --max-cells"
         )
-    write_function_csv(variation(f, seq, spec, grid), sys.stdout if args.out == "-" else args.out)
+    v = variation(f, seq, spec, grid)
+    del grid  # and its cached midpoints, which the writer does not need
+    write_function_csv(v, sys.stdout if args.out == "-" else args.out)
     return 0
 
 

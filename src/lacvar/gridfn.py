@@ -12,6 +12,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +53,12 @@ class UniformGrid:
     def edges(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self.n + 1)
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
-        return self.x0 + self.h * (np.arange(self.n) + 0.5)
+        """Cell midpoints, ascending and NaN-free; built once, read-only."""
+        mids = self.x0 + self.h * (np.arange(self.n) + 0.5)
+        mids.setflags(write=False)
+        return mids
 
     @property
     def x1(self) -> float:
@@ -70,12 +74,17 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        # a read-only float64 array whose owner is read-only too is taken
+        # over as it is, without a copy; anything else is copied
+        v = self.values
+        owner = v if getattr(v, "base", None) is None else v.base
+        if not (isinstance(owner, np.ndarray) and not owner.flags.writeable and v.dtype == np.float64):
+            v = np.array(v, dtype=np.float64)
+            v.setflags(write=False)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "h", float(self.h))

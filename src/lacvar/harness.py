@@ -377,10 +377,12 @@ def weak_sup(v: GridFunction, w_cells: np.ndarray | None = None) -> float:
     sort with cumulative cell measures evaluates every candidate at once.
     """
     vals = v.values
-    meas = np.full(vals.shape, v.h) if w_cells is None else v.h * w_cells
     order = np.argsort(-vals, kind="stable")
-    cum = np.cumsum(meas[order])
-    return float(np.max(vals[order] * cum))
+    # the measures are gathered before the sum and the candidates formed
+    # in place, so at most three N-float arrays are live beside v
+    cum = np.cumsum(np.full(vals.shape, v.h) if w_cells is None else v.h * w_cells[order])
+    cum *= vals[order]
+    return float(np.max(cum))
 
 
 @dataclass(frozen=True)
@@ -394,23 +396,28 @@ class _Outcome:
     constants: dict = field(default_factory=dict)
 
 
-def _grid_for(f: GridFunction, inp: _Inputs, scale: int):
-    h = (inp.opts.get("eval_h") or f.h) / scale
-    return default_eval_grid(f, inp.seq, inp.spec.k_max, h=h)
+def _grids_for(f: GridFunction, inp: _Inputs) -> list[UniformGrid]:
+    """f's eval grid pair: the support plus the top-scale pad at `eval_h`
+    (or f's own step), and the same at half the step."""
+    h = inp.opts.get("eval_h") or f.h
+    return [default_eval_grid(f, inp.seq, inp.spec.k_max, h=h / scale) for scale in (1, 2)]
 
 
-def _family_cases(inp: _Inputs, lhs_of, rhs_of, grid_of=None) -> list[CaseResult]:
+def _family_cases(inp: _Inputs, lhs_of, rhs_of, grids_of=_grids_for) -> list[CaseResult]:
     """One case per member of the family: lhs_of(V_s f) against rhs_of(f).
 
-    V_s f is sampled on grid_of(f, 1) for the case ratio and again on
-    grid_of(f, 2) (half the step) for `ratio_refined`; the default grid is
-    the support plus the top-scale pad at `eval_h` (or f's own step).
+    V_s f is sampled on the first grid of grids_of(f, inp) for the case
+    ratio and on the second (half the step) for `ratio_refined`.  grids_of
+    may read only f's grid (x0, h, n): a run of consecutive members on one
+    grid shares one pair, and only the current run's pair is held.
     """
     seq, spec = inp.seq, inp.spec
-    grid_of = grid_of or (lambda f, scale: _grid_for(f, inp, scale))
     cases = []
+    key = None
     for i, f in enumerate(inp.fams):
-        lhs, lhs2 = (lhs_of(variation(f, seq, spec, grid_of(f, scale))) for scale in (1, 2))
+        if (f.x0, f.h, f.n) != key:
+            key, grids = (f.x0, f.h, f.n), grids_of(f, inp)
+        lhs, lhs2 = (lhs_of(variation(f, seq, spec, g)) for g in grids)
         rhs = rhs_of(f)
         extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
         cases.append(CaseResult(f"fn{i:03d}", lhs, rhs, lhs / rhs, extra))
@@ -581,11 +588,11 @@ def _run_l2_multiplier(sc, inp):
     eval_cells = inp.opts["eval_cells"]
     nk = seq.scales[k_max]
 
-    def grid_of(f, scale):
+    def grids_of(f, _):
         span = (f.x1 + nk) - f.x0
-        return UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale)
+        return [UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale) for scale in (1, 2)]
 
-    cases = _family_cases(inp, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grid_of)
+    cases = _family_cases(inp, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grids_of)
     stab, (finite, _) = _stability(cases, th["stability"])
     worst = stab["base"]
     detail = {"worst_ratio": worst, "bound": bound, "sqrt_sup_q": sqrt_q}
@@ -604,10 +611,12 @@ def _run_vector_valued(sc, inp):
     seq, spec, fams, p = inp.seq, inp.spec, inp.fams, sc.p
     rhos = tuple(sorted(sc.rho))
     f0 = fams[0]
-    grids = [_grid_for(f0, inp, scale) for scale in (1, 2)]
-    # V_s f does not depend on rho: one kernel call per member and grid
-    aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids[0])))
-    fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids[1])]
+    grids = _grids_for(f0, inp)
+    # V_s f does not depend on rho: one kernel call per member and grid.
+    # The base grid, with its cached midpoints, is dropped once its call
+    # is done
+    aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids.pop(0))))
+    fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids[0])]
     cases = []
     for rho, lhs2 in zip(rhos, fine):
         f_agg = np.sum(np.stack([np.abs(f.values) ** rho for f in fams]), axis=0) ** (1.0 / rho)

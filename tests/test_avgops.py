@@ -472,8 +472,9 @@ def test_vector_variation_matches_stacked_route_exactly(seed, chunk):
 
 def test_vector_variations_hold_one_member_array_at_a_time():
     # 8 members and 3 exponents: the sums take 6 x.nbytes, and the
-    # midpoints, the member in hand, the next one and a result copy about 1
-    # each (10 in all); holding every member's array would add 6 more
+    # midpoints, the member in hand and the next one about 1 each (9 in
+    # all; each aggregate is handed over without a copy); holding every
+    # member's array would add 6 more
     rng = np.random.default_rng(0)
     fs = [GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64)) for _ in range(8)]
     seq = parse_sequence("geometric:0.03125:2:16")
@@ -604,3 +605,133 @@ def test_variation_out_of_order_costs_one_sort():
     assert peak < 4.5 * x.nbytes
     # NaN sorts last and is not folded; the scatter puts it back in place
     assert np.array_equal(np.isnan(got), np.isnan(x))
+
+
+# ------------------------------------------------------ packed fold batches
+
+
+def _counting_fold(sizes: list):
+    """A stand-in for _fold that records each call's point count."""
+    fold = avgops._fold
+
+    def spy(fs, scales, s, x, below, above):
+        sizes.append(x.size)
+        return fold(fs, scales, s, x, below, above)
+
+    return spy
+
+
+def test_l2_multiplier_shape_folds_in_one_call(monkeypatch):
+    # 64 cells on [0, 1), 13 scales, 65,536 midpoints over the support plus
+    # n_12: 8,070 points are left to fold after the flat stretches, so one
+    # batch holds them all (fixed 2^14-point chunks of the input took 4
+    # calls here)
+    rng = np.random.default_rng(0)
+    f = GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64))
+    seq = parse_sequence("geometric:0.015625:2:13")
+    grid = UniformGrid(f.x0, (f.x1 + seq.scales[12] - f.x0) / 65_536, 65_536)
+    sizes = []
+    monkeypatch.setattr(avgops, "_fold", _counting_fold(sizes))
+    got = variation(f, seq, _spec(k_max=12), grid)
+    assert len(sizes) == 1
+    assert 0 < sizes[0] <= avgops._CHUNK
+    assert got.values.tobytes() == oracle_variation_at(f, seq, _spec(k_max=12), grid.midpoints).tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["ascending", "nan", "shuffled"]),
+)
+def test_fold_batches_are_full_and_keep_the_bits(seed, chunk, count, order):
+    # f on [0, 1) and windows [n, n + 1) for n = 2, 4, .., 64: 0-3 points
+    # in the support and in each window, and 2-4 in each gap, which leave
+    # short spans to fold between the copied points.  With batches of 1-7
+    # points, spans share batches and cross batch edges; every batch but
+    # the last is full, and the bits are the stacked route's
+    rng = np.random.default_rng(seed)
+    fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8)) for _ in range(count)]
+    seq = parse_sequence("geometric:2:2:6")
+    spec = _spec(s=float(rng.choice([1.0, 2.0, 2.5])), k_max=5)
+    n = seq.scales
+    pieces = [rng.uniform(-1.0, 1.0, size=rng.integers(0, 4)), rng.uniform(1.0, n[0], size=rng.integers(2, 5))]
+    for a, b in zip(n, (*n[1:], 2.0 * n[-1])):
+        pieces.append(rng.uniform(a, a + 1.0, size=rng.integers(0, 4)))
+        pieces.append(rng.uniform(a + 1.0, b, size=rng.integers(2, 5)))
+    x = np.sort(np.concatenate(pieces))
+    # a flat point copies the point before it when both lie in one gap
+    # between the zone thresholds
+    below, above = avgops._zone_edges(fs[0], n)
+    gap = np.searchsorted(np.sort(np.concatenate([below, above])), x, side="right")
+    flat = (x >= 1.0) & (gap % 2 == 0)
+    folded = x.size - int(np.count_nonzero(flat[1:] & flat[:-1] & (gap[1:] == gap[:-1])))
+    if order == "nan":
+        x = np.concatenate([x, [np.nan, np.nan]])
+    elif order == "shuffled":
+        x = rng.permutation(x)
+    sizes = []
+    size = max(1, chunk // count)
+    with mock.patch.object(avgops, "_CHUNK", chunk), mock.patch.object(avgops, "_fold", _counting_fold(sizes)):
+        got = variations_at(fs, seq, spec, x)
+    assert sum(sizes) == folded
+    assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+    for f, row in zip(fs, got):
+        assert row.tobytes() == oracle_variation_at(f, seq, spec, x).tobytes()
+
+
+# ----------------------------------------------------------- result hand-off
+
+
+def test_variation_hands_its_result_over_without_a_copy():
+    # 2^18 midpoints over [-1, 1025), nearly all on flat stretches: the
+    # result takes x.nbytes and the fold a few batches' scratch; a second
+    # copy of the result would add x.nbytes more
+    rng = np.random.default_rng(0)
+    f = GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64))
+    seq = parse_sequence("geometric:0.03125:2:16")
+    grid = UniformGrid(-1.0, 1026.0 / (1 << 18), 1 << 18)
+    f.primitive_at(0.0)  # build the cached edge table outside the traced call
+    nbytes = grid.midpoints.nbytes  # and the midpoints
+    tracemalloc.start()
+    try:
+        v = variation(f, seq, _spec(k_max=15), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not v.values.flags.writeable
+    with pytest.raises(ValueError):
+        v.values[0] = 1.0
+    assert peak < 1.5 * nbytes
+    assert v.values.tobytes() == variation_at(f, seq, _spec(k_max=15), grid.midpoints).tobytes()
+
+
+def test_vector_variations_hand_their_results_over_read_only(monkeypatch):
+    # each aggregate reaches GridFunction read-only and is kept as it is
+    handed = []
+
+    def recording(x0, h, values):
+        handed.append(values)
+        return GridFunction(x0, h, values)
+
+    monkeypatch.setattr(avgops, "GridFunction", recording)
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8)) for _ in range(3)]
+    aggs = vector_variations(fs, parse_sequence("geometric:0.25:2:6"), _spec(k_max=5), (1.5, 2.0))
+    assert len(handed) == len(aggs) == 2
+    for agg, values in zip(aggs, handed):
+        assert not values.flags.writeable
+        assert agg.values is values
+
+
+@given(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(min_value=1, max_value=3000),
+)
+def test_grid_midpoints_pass_the_order_check(x0, h, n):
+    # `variation` skips the order check on a grid's midpoints because they
+    # always pass it: ascending (perhaps up to +inf) and NaN-free
+    mids = UniformGrid(x0, h, n).midpoints
+    assert avgops._ascending(mids)
+    assert not np.isnan(mids).any()

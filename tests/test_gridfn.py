@@ -55,6 +55,38 @@ def test_function_values_are_read_only():
         f.values[0] = 9.0
 
 
+def test_function_keeps_a_read_only_array_and_copies_anything_else():
+    mine = np.array([1.0, 2.0, 3.0])
+    f = GridFunction(0.0, 1.0, mine)
+    mine[0] = 9.0
+    assert f.values.tolist() == [1.0, 2.0, 3.0]
+    # a read-only view of a writeable array could still change: copied too
+    view = mine.view()
+    view.setflags(write=False)
+    g = GridFunction(0.0, 1.0, view)
+    mine[1] = 9.0
+    assert g.values.tolist() == [9.0, 2.0, 3.0]
+    frozen = np.array([4.0, 5.0])
+    frozen.setflags(write=False)
+    assert GridFunction(0.0, 1.0, frozen).values is frozen
+    assert GridFunction(0.0, 1.0, frozen[1:]).values.base is frozen
+    # kept or copied, the shape and finite checks still run
+    for bad in (np.ones((2, 2)), np.array([1.0, np.nan]), np.array([np.inf])):
+        kept = bad.copy()
+        kept.setflags(write=False)
+        for arr in (bad, kept):
+            with pytest.raises(ValueError):
+                GridFunction(0.0, 1.0, arr)
+
+
+def test_grid_midpoints_are_built_once_and_read_only():
+    g = UniformGrid(-0.3, 0.07, 1000)
+    mids = g.midpoints
+    assert g.midpoints is mids
+    assert not mids.flags.writeable
+    assert mids.tobytes() == (-0.3 + 0.07 * (np.arange(1000) + 0.5)).tobytes()
+
+
 def test_integral_handles_partial_cells():
     f = GridFunction(0.0, 1.0, [2.0, 4.0])
     assert f.integral(0.5, 1.5) == pytest.approx(1.0 + 2.0)

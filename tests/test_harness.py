@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -369,6 +370,41 @@ def test_vector_valued_computes_each_variation_once(monkeypatch):
     # V_s f does not depend on rho: each member once on the base grid and
     # once on the refined one
     assert len(calls) == 2 * 2
+
+
+@pytest.mark.parametrize("config, grids", [
+    ({"kind": "l2_multiplier", "options": {"eval_cells": 4096}}, 2),
+    ({"kind": "weak_11"}, 6),
+])
+def test_family_cases_build_each_grid_pair_once(monkeypatch, config, grids):
+    # l2_multiplier's 100 random steps share one grid, so one pair of eval
+    # grids serves them all; the three spikes of weak_11 each have their
+    # own grid and pair
+    seen = []
+    original = harness.variation
+
+    def recording(f, seq, spec, eval_grid):
+        seen.append(eval_grid)  # held, so no two grids share an id
+        return original(f, seq, spec, eval_grid)
+
+    monkeypatch.setattr(harness, "variation", recording)
+    rep = run_scenario(from_config(config))
+    assert len(seen) == 2 * len(rep.cases)
+    assert len({id(g) for g in seen}) == grids
+
+
+def test_weak_11_memory_peak_holds_one_grid_pair():
+    # the grid pair of the member in hand and its cached midpoints are all
+    # the family loop keeps; holding every member's pair added 0.56 MiB
+    sc = from_config({"kind": "weak_11", "seed": 12})
+    run_scenario(sc)  # warm the caches outside the traced run
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.76 * 2**20
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
