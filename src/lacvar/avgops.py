@@ -17,7 +17,10 @@ stretches are cut once by binary search over the whole input, and the
 points left to fold are packed into full batches, each folded by one call.
 `variations_at` folds several functions on one grid at once: the zones,
 stretches and batches are found once for all of them, and each step of the
-fold is one array operation over every row; `variation_at` is its one-row
+fold is one array operation over every row.  Their primitives come from one
+table per call, which a set of points reads by one binary search and a
+gather over every row, with np.interp's arithmetic; a single function keeps
+np.interp, which is cheaper for one column.  `variation_at` is the one-row
 case.  `variation` samples at a grid's midpoints, which are ascending by
 construction, so it skips the order check.
 """
@@ -244,15 +247,72 @@ def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarr
     return np.array(bounds)
 
 
-def _fold(fs: list[GridFunction], scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """V_s f at ascending x, one column per f; zones L = x < below[k] and R = x >= above[k].
+class _Interp:
+    """The primitive of one function, by np.interp: for a single column one
+    call per point set is cheaper than any table."""
+
+    count = 1
+
+    def __init__(self, f: GridFunction):
+        self.f = f
+
+    def fill(self, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = S(v), one column per function; scratch is left alone."""
+        out[:, 0] = self.f.primitive_at(v)
+
+    def drop(self, upper: np.ndarray, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = upper - S(v); scratch is left alone."""
+        np.subtract(upper[:, 0], self.f.primitive_at(v), out=out[:, 0])
+
+
+class _Table:
+    """The primitives of several functions on one grid, as one table.
+
+    Row j < n holds the edge e_j, each function's S(e_j) and its slope
+    (S(e_{j+1}) - S(e_j)) / (e_{j+1} - e_j); row n holds e_n, S(e_n) and
+    slope 0.  A point v, clipped to [e_0, e_n], finds its row j by one
+    binary search over e_1..e_n and takes slope * (v - e_j) + S(e_j) in
+    every column at once.  For finite S that is np.interp's arithmetic: its
+    slope, its sum, 0 left of the grid (slope * 0 + S(e_0) at e_0) and
+    S(e_n) at or past the last edge.  Only the sign of a zero can differ,
+    and the fold takes absolute values.
+    """
+
+    def __init__(self, fs: list[GridFunction]):
+        edges = fs[0].primitive_table[0]
+        self.edges, self.inner, self.lo, self.hi = edges, edges[1:], float(edges[0]), float(edges[-1])
+        self.base = np.stack([f.primitive_table[1] for f in fs], axis=1)
+        self.slope = np.zeros_like(self.base)
+        np.divide(np.diff(self.base, axis=0), np.diff(edges)[:, None], out=self.slope[:-1])
+        self.count = len(fs)
+
+    def fill(self, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = S(v), one column per function; scratch, shaped like out, is overwritten."""
+        # array methods, not the np.* wrappers: this runs at every scale
+        t = v.clip(self.lo, self.hi)
+        j = self.inner.searchsorted(t, side="right")
+        t -= self.edges[j]
+        # the gathers write into the caller's scratch, not into new arrays
+        self.slope.take(j, axis=0, out=out, mode="clip")
+        out *= t[:, None]
+        self.base.take(j, axis=0, out=scratch, mode="clip")
+        out += scratch
+
+    def drop(self, upper: np.ndarray, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = upper - S(v); scratch, shaped like out, is overwritten."""
+        self.fill(v, out, scratch)
+        np.subtract(upper, out, out=out)
+
+
+def _fold(prims: _Interp | _Table, scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """V_s f at ascending x, one column per function of prims; zones L = x < below[k] and R = x >= above[k].
 
     The buffers hold one row per point, so a prefix of points is one
     contiguous block for every op, whatever the number of functions.
     """
     ends_l = np.searchsorted(x, below).tolist()
     starts_r = np.searchsorted(x, above).tolist()
-    shape = (x.size, len(fs))
+    shape = (x.size, prims.count)
     upper = np.empty(shape)
     shifted = np.empty_like(x)
     level = np.zeros(shape)
@@ -260,20 +320,16 @@ def _fold(fs: list[GridFunction], scales, s: float, x: np.ndarray, below: np.nda
     acc = np.zeros(shape)
     comp = np.zeros(shape)
     big = np.empty(shape)
-    # each function with its columns of upper and big
-    cols = list(zip(fs, upper.T, big.T))
-    for f, up, _ in cols:
-        up[:] = f.primitive_at(x)
+    prims.fill(x, upper, big)
     for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
         if a:
             # (upper - 0.0) / n is upper / n bit for bit
             np.divide(upper[:a], n, out=level[:a])
         if a < b:
             # upper - lower goes in big, which is scratch until the fold;
-            # subtracting each lower primitive as it comes saves a copy
+            # level is scratch here until the divide writes it
             np.subtract(x[a:b], n, out=shifted[a:b])
-            for f, up, dst in cols:
-                np.subtract(up[a:b], f.primitive_at(shifted[a:b]), out=dst[a:b])
+            prims.drop(upper[a:b], shifted[a:b], big[a:b], level[a:b])
             np.divide(big[a:b], n, out=level[a:b])
         if k and b:
             # a point past b is in R here and at every smaller scale:
@@ -316,6 +372,8 @@ def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -
     vals[:, m:] = np.nan
     # the functions share a grid, so they share the zones and the stretches
     below, above = _zone_edges(fs[0], scales)
+    # one primitive table for all the batches of several functions
+    prims = _Table(fs) if len(fs) > 1 else _Interp(fs[0])
     cuts = np.searchsorted(x[:m], _flat_stretches(fs[0].x1, below, above)).tolist()
     # past the first point of each flat stretch, the points copy it; the
     # spans between are folded, packed into full batches
@@ -323,7 +381,7 @@ def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -
     ends = [0, *(i for ab in copied for i in ab), m]
     spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
     for batch in _batches(spans, max(1, _CHUNK // len(fs))):
-        res = _fold(fs, scales, s, np.concatenate([x[a:b] for a, b in batch]), below, above)
+        res = _fold(prims, scales, s, np.concatenate([x[a:b] for a, b in batch]), below, above)
         at = 0
         for a, b in batch:
             vals[:, a:b] = res[at : at + b - a].T
@@ -361,9 +419,12 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
     The functions must share one grid (GridMismatch otherwise).  Everything
     that depends only on the grid and the points is done once for all of
     them: the order check, the zone edges, the flat stretches and the fold
-    batches.  Each elementwise step of the fold is one call over every row;
-    only each function's primitive, interpolated and subtracted from the
-    upper one at each scale, takes a call per function.
+    batches.  Each elementwise step of the fold is one call over every row.
+    With more than one function, the primitives are read from one table
+    built per call from each function's primitive_table (see _Table): at
+    each scale one binary search finds the cells of a batch's points and
+    gathers give every function's value there, with np.interp's bits up to
+    the sign of a zero.  One function is interpolated by primitive_at.
 
     Input out of order or holding NaN is sorted by one stable argsort and
     the result scattered back; NaN sorts last and gives NaN.  Right of the
@@ -380,7 +441,7 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
 
     At scale n a batch falls into three zones, found on v = fl(x - n) by
     binary search: L, a prefix with v < x0, where the lower primitive is
-    0 and the level is upper / n; M, where primitive_at interpolates; R, a
+    0 and the level is upper / n; M, where the primitive interpolates; R, a
     suffix with v >= x1, where the level is 0 at this scale and every
     smaller one, so the difference and the fold are skipped there.  The
     fold is elementwise, so a point gets the same bits for every split,

@@ -64,11 +64,15 @@ def F_eval(r):
     arr = np.asarray(r, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty(arr.shape, dtype=np.complex128)
     small = np.abs(arr) < _SMALL
+    # the closed form over the whole array, in place, with the operations
+    # and operands of the per-element formula; the divide skips the small
+    # entries (r = 0 or subnormal would warn), whose series values follow
+    out = np.multiply(-1j, arr)
+    np.exp(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.divide(out, np.multiply(1j, arr), out=out, where=~small)
     out[small] = _horner(arr[small], _F_COEFF)
-    big = arr[~small]
-    out[~small] = (1.0 - np.exp(-1j * big)) / (1j * big)
     return complex(out[0]) if scalar else out
 
 

@@ -123,18 +123,21 @@ class GridFunction:
         out[1:] = acc.astype(np.float64)
         return out
 
+    @cached_property
+    def primitive_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell edges and S at them; built on first use, kept, read-only."""
+        table = (self.x0 + self.h * np.arange(self.n + 1), self.antiderivative_edges())
+        for a in table:
+            a.setflags(write=False)
+        return table
+
     def primitive_at(self, x) -> np.ndarray:
         """Exact S(x) = int_{-inf}^{x} f at arbitrary points.
 
         S is piecewise linear between cell edges, 0 left of the grid and the
-        total integral right of it.  The edge table is built on the first
-        call and kept on the (immutable) object.
+        total integral right of it, interpolated in primitive_table.
         """
-        table = self.__dict__.get("_primitive")
-        if table is None:
-            table = (self.x0 + self.h * np.arange(self.n + 1), self.antiderivative_edges())
-            object.__setattr__(self, "_primitive", table)
-        edges, S = table
+        edges, S = self.primitive_table
         return np.interp(x, edges, S, left=0.0, right=S[-1])
 
     def integral(self, a: float, b: float) -> float:

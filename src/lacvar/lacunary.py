@@ -8,9 +8,8 @@ the averaging and kernel estimates downstream want.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Relative slack for every floating-point ratio comparison against beta or
 # beta**2.  Ties at exactly beta / beta**2 are accepted.
@@ -50,7 +49,7 @@ def _check_scales(scales: tuple[float, ...], beta: float) -> None:
     if not beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta!r}")
     for k, v in enumerate(scales):
-        if not (np.isfinite(v) and v > 0.0):
+        if not (math.isfinite(v) and v > 0.0):
             raise NonPositiveScale(k)
     for k in range(len(scales) - 1):
         nxt, cur = scales[k + 1], scales[k]

@@ -735,3 +735,80 @@ def test_grid_midpoints_pass_the_order_check(x0, h, n):
     mids = UniformGrid(x0, h, n).midpoints
     assert avgops._ascending(mids)
     assert not np.isnan(mids).any()
+
+
+# ------------------------------------------------------- primitive table
+
+
+def _table_points(edges: np.ndarray, rng) -> np.ndarray:
+    """Every edge, 1..8 ulps either side of each end (which covers the
+    4-ulp zone pads), points far off and at infinity, and random points
+    inside."""
+    x0, x1 = float(edges[0]), float(edges[-1])
+    near = []
+    for e in (x0, x1):
+        lo = hi = e
+        for _ in range(8):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+    span = x1 - x0
+    far = [-np.inf, -1e300, x0 - 1e3 * span, x1 + 1e3 * span, 1e300, np.inf]
+    return rng.permutation(np.concatenate([edges, near, far, rng.uniform(x0, x1, size=64)]))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-6, max_value=10.0),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=5),
+)
+def test_primitive_table_matches_interp_column_by_column(seed, x0, h, cells, count):
+    # values hold -0.0, 0.0 and subnormals, and one row is all -0.0, whose
+    # S is 0.0 then -0.0: the table may only differ from np.interp in the
+    # sign of a zero, which the fold's absolute values remove
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.0, 1.0, size=(count, cells))
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, -1e-315])
+    mask = rng.random(vals.shape) < 0.3
+    vals[mask] = rng.choice(special, size=int(np.count_nonzero(mask)))
+    vals[-1] = -0.0
+    fs = [GridFunction(x0, h, row) for row in vals]
+    x = _table_points(fs[0].primitive_table[0], rng)
+    before = x.tobytes()
+    out = np.empty((x.size, count))
+    avgops._Table(fs).fill(x, out, np.empty_like(out))
+    assert x.tobytes() == before
+    for f, col in zip(fs, out.T):
+        want = f.primitive_at(x)
+        assert np.array_equal(col, want)
+        assert (col + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def test_variations_read_each_primitive_once(monkeypatch):
+    # h1_l1's shape: 20 atoms on one interval, 11 scales, the points packed
+    # into several fold batches.  Each function's cached edge table is read
+    # once, into one table for the call; interpolating each function at
+    # every scale of every batch took about 20 x 12 x batches calls
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(0.0, 1.0 / 32, rng.uniform(-1.0, 1.0, size=32)) for _ in range(20)]
+    seq = parse_sequence("geometric:0.25:2:11")
+    spec = _spec(k_max=10)
+    x = np.linspace(-1.0, 2.0 + seq.scales[-1], 2048)
+    want = [variation_at(f, seq, spec, x) for f in fs]
+    calls = []
+    primitive_at = GridFunction.primitive_at
+
+    def spy(self, pts):
+        calls.append(id(self))
+        return primitive_at(self, pts)
+
+    sizes = []
+    monkeypatch.setattr(GridFunction, "primitive_at", spy)
+    monkeypatch.setattr(avgops, "_fold", _counting_fold(sizes))
+    monkeypatch.setattr(avgops, "_CHUNK", 20 * 64)
+    got = variations_at(fs, seq, spec, x)
+    assert len(sizes) > 1
+    assert len(calls) == len(set(calls)) <= len(fs)
+    for row, w in zip(got, want):
+        assert row.tobytes() == w.tobytes()

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,39 @@ def test_f_modulus_identity(r):
 @given(st.floats(min_value=-300.0, max_value=300.0))
 def test_f_conjugate_symmetry(r):
     assert complex(F_eval(-r)) == pytest.approx(complex(F_eval(r)).conjugate(), rel=1e-14, abs=1e-300)
+
+
+def _two_branch_f(r) -> np.ndarray:
+    """F by gathering each branch's points and scattering the results back:
+    the series below _SMALL, the closed form on the rest."""
+    arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    out = np.empty(arr.shape, dtype=np.complex128)
+    small = np.abs(arr) < fourier._SMALL
+    out[small] = fourier._horner(arr[small], fourier._F_COEFF)
+    big = arr[~small]
+    out[~small] = (1.0 - np.exp(-1j * big)) / (1j * big)
+    return out
+
+
+def test_f_keeps_the_bits_of_the_two_branch_formula():
+    # the in-place closed form over the whole array runs the same float
+    # operations on the same operands per element, and its divide skips
+    # the series entries, so 0 and subnormals raise no warning
+    eps = fourier._SMALL
+    pts = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e-300, 1e18, -1e18, 0.5, 3.0, 1e4]
+    for e in (eps, -eps):
+        pts += [e, np.nextafter(e, 0.0), np.nextafter(e, 2.0 * e)]
+    r = np.array(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = F_eval(r)
+        block = F_eval(np.multiply.outer(r, [1.0, 2.0, 4.0]))
+        scalars = [F_eval(v) for v in (0.0, eps, 1.5, 1e18)]
+    assert got.tobytes() == _two_branch_f(r).tobytes()
+    assert block.tobytes() == _two_branch_f(np.multiply.outer(r, [1.0, 2.0, 4.0])).tobytes()
+    for v, got_v in zip((0.0, eps, 1.5, 1e18), scalars):
+        assert type(got_v) is complex
+        assert np.array([got_v]).tobytes() == _two_branch_f(v).tobytes()
 
 
 # -------------------------------------------------------------- derivative
@@ -294,7 +328,8 @@ def test_multiplier_scans_any_block_size(block_bytes, size, depths, data):
 
 def test_multiplier_scratch_does_not_grow_with_grid():
     # the whole-grid formula peaked at 41.5 MiB on this grid at 41 scales;
-    # F_eval keeps about 4.5 blocks of complex values alive at once
+    # the scan peaks at about 3.3 blocks of 4 MiB: F_eval's result and the
+    # divisor of its closed form, plus the block's frequency products
     seq = parse_sequence("geometric:1:2:41")
     xi = default_xi_grid()
     multiplier_sums(seq, xi[:8], 40)  # warm numpy outside the traced call
@@ -304,7 +339,7 @@ def test_multiplier_scratch_does_not_grow_with_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_scan_sups_match_its_arrays(dyadic13):

@@ -36,6 +36,16 @@ def test_nonpositive_scale_flags_index():
     assert exc.value.index == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -3.0])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_nonfinite_or_nonpositive_scale_flags_index(bad, at):
+    scales = [1.0, 2.0, 4.0]
+    scales[at] = bad
+    with pytest.raises(NonPositiveScale) as exc:
+        LacunarySeq(tuple(scales), 2.0)
+    assert exc.value.index == at
+
+
 def test_not_increasing_flags_index():
     with pytest.raises(NotIncreasing) as exc:
         LacunarySeq((1.0, 2.0, 2.0), 1.5)
