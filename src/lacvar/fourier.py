@@ -8,13 +8,16 @@ sums (the first-difference l^1 sum I with its two-regime split I1 + I2 and
 the squared sum Q) and checks the derivative bound used to control the
 large-frequency regime.
 
-The multiplier scan streams the frequency grid in blocks of rows that hold
-at most _BLOCK_BYTES of F values, so its scratch is a few such blocks
-whatever the grid size.  One scan serves several truncation depths: F is
-evaluated once, at the deepest scale asked for, and each depth sums the
-first columns of the block.  Every sum runs along one frequency's row, so
-the result at each depth has the same bits as a whole-grid scan at that
-depth alone.
+The multiplier sums are even in the frequency: F(-r) is conj F(r), bit for
+bit up to the sign of a zero, and each term is a modulus.  So the scan
+evaluates F once per distinct |xi| of the grid and gathers the sums back
+onto the grid; a reflected grid costs half its frequencies.  It streams the
+magnitudes in blocks of rows that hold at most _BLOCK_BYTES of F values, so
+its scratch is a few such blocks whatever the grid size.  One scan serves
+several truncation depths: F is evaluated once, at the deepest scale asked
+for, and each depth sums the first columns of the block.  Every sum runs
+along one frequency's row, so the result at each depth has the same bits
+as a whole-grid scan at that depth alone.
 """
 
 from __future__ import annotations
@@ -91,12 +94,15 @@ def fprime(r):
 
 
 # Bytes of complex F values per block of the multiplier scan.  A scan that
-# fits, such as l2_multiplier's 13 scales on 16,385 frequencies (3.25 MiB),
-# runs as one block.  Blocks of 512 rows made the variation passes that
-# follow such a scan about 30% slower: glibc malloc raises its mmap and
-# heap-trim thresholds only when a large mmapped block is freed, and without
-# that every family member's ~3 MiB of arrays was trimmed from the heap and
-# faulted back in (73.7k minor faults per l2_multiplier run, not 1.8-2.7k).
+# fits, such as l2_multiplier's 13 scales on the 8,193 magnitudes of its
+# 16,385 frequencies (1.63 MiB), runs as one block.  Blocks of 512 rows made
+# the variation passes that follow such a scan about 30% slower: glibc
+# malloc raises its mmap and heap-trim thresholds only when a large mmapped
+# block is freed, and without that every family member's ~3 MiB of arrays
+# was trimmed from the heap and faulted back in (73.7k minor faults per
+# l2_multiplier run, not 1-2k).  The 1.63 MiB block lifts the trim
+# threshold to about 3.3 MiB, enough now that lp_norm makes no whole-array
+# temporary.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -135,14 +141,17 @@ class MultiplierScan:
 def multiplier_scans(seq: LacunarySeq, xi, depths) -> list[MultiplierScan]:
     """The multiplier sums over the grid xi at each truncation depth in depths.
 
-    One pass over the grid serves every depth.  The grid is streamed in
-    blocks of _BLOCK_BYTES // (16 (K + 1)) frequencies for the deepest depth
-    K, so the scratch is a few blocks whatever the grid size.  Each block
-    evaluates F(xi n_k) once, for k up to K, and each depth k_max sums the
-    first k_max columns of the block's differences.  The sums run along
-    rows, so each depth's arrays are bit-for-bit those of a whole-grid scan
-    at that depth alone.  Depths may come in any order and repeat; the
-    scans come back in the order asked, one per entry.
+    One pass over the distinct magnitudes |xi| of the grid serves every
+    depth: the sums of xi and -xi are the same bits, so each magnitude is
+    evaluated once and its sums are gathered back to every frequency that
+    has it.  The magnitudes are streamed in blocks of
+    _BLOCK_BYTES // (16 (K + 1)) rows for the deepest depth K, so the
+    scratch is a few blocks whatever the grid size.  Each block evaluates
+    F(|xi| n_k) once, for k up to K, and each depth k_max sums the first
+    k_max columns of the block's differences.  The sums run along rows, so
+    each depth's arrays are bit-for-bit those of a whole-grid scan at that
+    depth alone.  Depths may come in any order and repeat; the scans come
+    back in the order asked, one per entry.
     """
     depths = tuple(depths)
     if not depths:
@@ -157,21 +166,22 @@ def multiplier_scans(seq: LacunarySeq, xi, depths) -> list[MultiplierScan]:
         raise EmptyGrid("frequency grid is empty")
     scales = np.array(seq.scales[: max(depths) + 1])
     step = max(1, _BLOCK_BYTES // (16 * scales.size))
-    # per depth: i_high, i_low and q_sum, filled block by block
-    sums = {k: np.empty((3, xi.size)) for k in depths}
-    for at in range(0, xi.size, step):
-        rows = xi[at : at + step]
+    mag, where = np.unique(np.abs(xi), return_inverse=True)
+    # per depth: i_high, i_low and q_sum of each magnitude, block by block
+    sums = {k: np.empty((3, mag.size)) for k in depths}
+    for at in range(0, mag.size, step):
+        rows = mag[at : at + step]
         diffs = np.abs(np.diff(F_eval(np.multiply.outer(rows, scales)), axis=1))
-        high = np.abs(rows)[:, None] * scales[None, 1:] >= 1.0
+        high = rows[:, None] * scales[None, 1:] >= 1.0
         for k, out in sums.items():
             d, h = diffs[:, :k], high[:, :k]
             out[0, at : at + step] = np.sum(d * h, axis=1)
             out[1, at : at + step] = np.sum(d * ~h, axis=1)
             out[2, at : at + step] = np.sum(d * d, axis=1)
-    scans = {
-        k: MultiplierScan(xi, i_high + i_low, i_high, i_low, q_sum, k)
-        for k, (i_high, i_low, q_sum) in sums.items()
-    }
+    scans = {}
+    for k, out in sums.items():
+        i_high, i_low, q_sum = out[:, where]  # back onto the caller's grid
+        scans[k] = MultiplierScan(xi, i_high + i_low, i_high, i_low, q_sum, k)
     return [scans[k] for k in depths]
 
 

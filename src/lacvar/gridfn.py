@@ -166,21 +166,50 @@ def _weight_cells(f: GridFunction, w) -> np.ndarray | None:
     return arr
 
 
+# Most cells of lp_norm made at a time; at least 128, the block that numpy
+# sums without cutting it.  A whole-array temporary is 1 MiB on a
+# 131,072-point eval grid; once freed, glibc may trim it from the heap and
+# the next call faults it back in.
+_SUM_LEAF = 1 << 14
+
+
+def _pairwise_sum(a: int, b: int, leaf):
+    """The sum over [a, b) of the cells that leaf(lo, hi) sums by np.sum,
+    with the bits of one np.sum over all of them.
+
+    numpy sums a contiguous float64 array pairwise: past 128 values it adds
+    the sums of the two halves, the first cut to a multiple of 8.  Cutting
+    at the same points down to leaves of at most _SUM_LEAF >= 128 cells
+    gives the same additions in the same order.
+    """
+    n = b - a
+    if n <= _SUM_LEAF:
+        return leaf(a, b)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(a, a + half, leaf) + _pairwise_sum(a + half, b, leaf)
+
+
 def lp_norm(f: GridFunction, p: float, w=None) -> float:
     """||f||_p, optionally against a weight sampled on the same grid.
 
     The weight may be a GridFunction sharing f's grid or a bare per-cell
-    array; sums are exact for the step functions involved.
+    array; sums are exact for the step functions involved.  The cells
+    |f|^p h (times the weight) are made and summed _SUM_LEAF at a time,
+    with the bits of one np.sum over all of them.
     """
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p!r}")
     wc = _weight_cells(f, w)
     if np.isinf(p):
         return sup_norm(f)
-    cell = np.abs(f.values) ** p * f.h
-    if wc is not None:
-        cell = cell * wc
-    return float(np.sum(cell) ** (1.0 / p))
+
+    def cells(a: int, b: int):
+        cell = np.abs(f.values[a:b]) ** p * f.h
+        if wc is not None:
+            cell = cell * wc[a:b]
+        return np.sum(cell)
+
+    return float(_pairwise_sum(0, f.n, cells) ** (1.0 / p))
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -335,11 +364,12 @@ class Atom:
     interval: Interval
 
 
-def make_atom(I: Interval, seed: int, cells: int = 32) -> Atom:
-    """Random mean-zero step function on I scaled to peak exactly 1/|I|.
+def atom_pattern(seed: int, cells: int = 32) -> tuple[np.ndarray, float]:
+    """The seeded draw of make_atom: mean-zero cell values and their peak |v|.
 
-    The same seed gives the same cell pattern whatever the interval, so a
-    family of atoms at different scales consists of dilates of each other.
+    The pattern does not depend on the interval, so a caller that needs one
+    seed's atom at several scales draws it once and dilates it with
+    dilate_atom.
     """
     if cells < 2:
         raise IntervalTooSmall("an atom needs at least two cells to have zero mean")
@@ -350,8 +380,23 @@ def make_atom(I: Interval, seed: int, cells: int = 32) -> Atom:
     peak = np.max(np.abs(v))
     if peak == 0.0:
         raise ValueError("degenerate atom draw; change the seed")
-    v *= 1.0 / (peak * I.length)
-    return Atom(GridFunction(I.lo, I.length / cells, v), I)
+    v.setflags(write=False)
+    return v, peak
+
+
+def dilate_atom(I: Interval, pattern: tuple[np.ndarray, float]) -> Atom:
+    """The atom of an atom_pattern on I, scaled to peak exactly 1/|I|."""
+    v, peak = pattern
+    return Atom(GridFunction(I.lo, I.length / v.size, v * (1.0 / (peak * I.length))), I)
+
+
+def make_atom(I: Interval, seed: int, cells: int = 32) -> Atom:
+    """Random mean-zero step function on I scaled to peak exactly 1/|I|.
+
+    The same seed gives the same cell pattern whatever the interval, so a
+    family of atoms at different scales consists of dilates of each other.
+    """
+    return dilate_atom(I, atom_pattern(seed, cells))
 
 
 # The parameters each family kind reads, the first one required; all take x0.

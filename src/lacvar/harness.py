@@ -39,9 +39,10 @@ from .gridfn import (
     GridFunction,
     Interval,
     UniformGrid,
+    atom_pattern,
     bmo_norm,
+    dilate_atom,
     lp_norm,
-    make_atom,
     make_dyadic_family,
     make_family,
     sup_norm,
@@ -554,14 +555,16 @@ def _zone_cells(I: Interval, seq, spec, points_per_scale: int) -> tuple[np.ndarr
 
 def _run_h1_l1(sc, inp):
     seq, spec, th, opts = inp.seq, inp.spec, inp.th, inp.opts
-    per_scale, cells, zp = opts["atoms_per_scale"], opts["atom_cells"], opts["zone_points"]
+    zp = opts["zone_points"]
+    # each seed's cell pattern is drawn once and dilated to every scale
+    pats = [atom_pattern(sc.seed + sidx, opts["atom_cells"]) for sidx in range(opts["atoms_per_scale"])]
     cases = []
     per_scale_sup: dict[int, float] = {}
     for m in opts["scale_exps"]:
         # the atoms of one scale share their interval, so they share its
         # grid and zone cells: one batched call per zone grid
         I = Interval(0.0, 2.0**m)
-        fns = [make_atom(I, sc.seed + sidx, cells).fn for sidx in range(per_scale)]
+        fns = [dilate_atom(I, pat).fn for pat in pats]
         base_l1, fine_l1 = (
             [float(np.dot(row, widths)) for row in variations_at(fns, seq, spec, x)]
             for x, widths in (_zone_cells(I, seq, spec, scale * zp) for scale in (1, 2))
@@ -613,10 +616,11 @@ def _run_vector_valued(sc, inp):
     f0 = fams[0]
     grids = _grids_for(f0, inp)
     # V_s f does not depend on rho: one kernel call per member and grid.
-    # The base grid, with its cached midpoints, is dropped once its call
-    # is done
-    aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids.pop(0))))
-    fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids[0])]
+    # The refined call runs first and keeps only its norms, so no base
+    # aggregate is held through its sums, the pass's largest arrays; its
+    # grid, with the cached midpoints, is dropped once the call is done
+    fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids.pop())]
+    aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids[0])))
     cases = []
     for rho, lhs2 in zip(rhos, fine):
         f_agg = np.sum(np.stack([np.abs(f.values) ** rho for f in fams]), axis=0) ** (1.0 / rho)

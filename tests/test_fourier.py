@@ -90,6 +90,27 @@ def _two_branch_f(r) -> np.ndarray:
     return out
 
 
+def _no_zero_sign(a) -> bytes:
+    # -0.0 + 0.0 is 0.0, and every other value is left as it is
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+def test_f_is_conjugate_even_bit_for_bit():
+    # the multiplier scan evaluates F only at |xi| n_k, which needs
+    # F(-r) = conj F(r) in every bit up to the sign of a zero, on both
+    # branches: the series below _SMALL and the closed form above it
+    eps = fourier._SMALL
+    pts = [0.0, -0.0, 5e-324, 2.2e-310, 1e-300, 1e-8, 0.5, math.pi, 3.0, 1e4, 1e18]
+    pts += [eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)]
+    products = np.multiply.outer(default_xi_grid(), parse_sequence("geometric:1:2:41").scales)
+    for r in (np.array(pts), products.ravel()):
+        plus, minus = F_eval(r), F_eval(-r)
+        assert _no_zero_sign(minus.real) == _no_zero_sign(plus.real)
+        assert _no_zero_sign(minus.imag) == _no_zero_sign(-plus.imag)
+    assert np.count_nonzero(np.abs(products) < eps) > 0
+    assert np.count_nonzero(np.abs(products) >= eps) > 0
+
+
 def test_f_keeps_the_bits_of_the_two_branch_formula():
     # the in-place closed form over the whole array runs the same float
     # operations on the same operands per element, and its divide skips
@@ -161,8 +182,8 @@ def test_multiplier_even_in_frequency(dyadic13):
     xi = np.geomspace(1e-3, 1e3, 64)
     plus = multiplier_sums(dyadic13, xi, 12)
     minus = multiplier_sums(dyadic13, -xi, 12)
-    assert np.array_equal(plus.i_sum, minus.i_sum)
-    assert np.array_equal(plus.q_sum, minus.q_sum)
+    for name in ("i_sum", "i_high", "i_low", "q_sum"):
+        assert getattr(plus, name).tobytes() == getattr(minus, name).tobytes()
 
 
 def test_multiplier_q_at_most_twice_i(dyadic13):
@@ -326,10 +347,33 @@ def test_multiplier_scans_any_block_size(block_bytes, size, depths, data):
         _assert_scan_is_oracle(scan, seq, xi, k)
 
 
+@pytest.mark.parametrize("block_bytes", [16 * 13, 3 * 16 * 13, fourier._BLOCK_BYTES])
+def test_multiplier_scans_repeated_and_signed_magnitudes(block_bytes, monkeypatch):
+    # each magnitude appears several times with both signs, 0.0 and -0.0
+    # both appear, and |xi| n_k lands on either side of the series switch
+    # _SMALL at the first scales; the scan evaluates each |xi| once and
+    # must still give every grid frequency the bits of the signed formula
+    seq = parse_sequence("geometric:0.5:3:13")
+    mags = [5e-324, 1e-300, 1.0, 2.5, 1e4]
+    for n in seq.scales[:5]:
+        e = fourier._SMALL / n
+        mags += [e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)]
+    xi = np.array([-0.0, 0.0, 0.0, -0.0] + [s * m for m in mags for s in (1.0, -1.0, 1.0, -1.0)])
+    xi = xi[np.random.default_rng(3).permutation(xi.size)]
+    monkeypatch.setattr(fourier, "_BLOCK_BYTES", block_bytes)
+    depths = (12, 1, 4, 12)
+    for scan, k in zip(multiplier_scans(seq, xi, depths), depths):
+        _assert_scan_is_oracle(scan, seq, xi, k)
+        # the first grid frequency at the sup, with its sign
+        at = np.argmax(_whole_grid_scan(seq, xi, k)[0])
+        assert np.array([scan.argmax_xi]).tobytes() == xi[at : at + 1].tobytes()
+
+
 def test_multiplier_scratch_does_not_grow_with_grid():
     # the whole-grid formula peaked at 41.5 MiB on this grid at 41 scales;
-    # the scan peaks at about 3.3 blocks of 4 MiB: F_eval's result and the
-    # divisor of its closed form, plus the block's frequency products
+    # the scan of its 8,193 magnitudes peaks at about 2.7 blocks of 4 MiB:
+    # F_eval's result and the divisor of its closed form, plus the block's
+    # frequency products
     seq = parse_sequence("geometric:1:2:41")
     xi = default_xi_grid()
     multiplier_sums(seq, xi[:8], 40)  # warm numpy outside the traced call

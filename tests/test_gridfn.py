@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lacvar import gridfn
+from lacvar.gridfn import atom_pattern, dilate_atom
 from lacvar import (
     Atom,
     BadParams,
@@ -106,6 +107,50 @@ def test_lp_norm_weighted_hand_value():
     w = GridFunction(0.0, 0.5, [1.0, 1.0, 2.0])
     # int |f|^2 w = 0.5 * (1 + 4 + 18) = 11.5
     assert lp_norm(f, 2.0, w) == pytest.approx(math.sqrt(11.5))
+
+
+def _whole_array_lp_norm(f, p, w=None) -> float:
+    """lp_norm as one whole-array temporary and one np.sum: the oracle of
+    the leaves."""
+    cell = np.abs(f.values) ** p * f.h
+    if w is not None:
+        cell = cell * (w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=np.float64))
+    return float(np.sum(cell) ** (1.0 / p))
+
+
+def _assert_lp_norm_is_oracle(values, weights):
+    f = GridFunction(-0.5, 1.0 / 64, values)
+    for p in (1.0, 1.5, 2.0, 3.0, 7.25):
+        for w in (None, weights, GridFunction(f.x0, f.h, weights)):
+            got, want = lp_norm(f, p, w), _whole_array_lp_norm(f, p, w)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.n, p)
+
+
+_LEAF = gridfn._SUM_LEAF
+
+
+@pytest.mark.parametrize(
+    "n", [1, 7, 8, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 8, 3 * _LEAF + 5, 131200, 300007]
+)
+def test_lp_norm_keeps_the_bits_of_one_whole_array_sum(n):
+    # the leaves are cut where numpy's pairwise sum cuts, so the sum has the
+    # bits of np.sum over the whole cell array, at every size and exponent
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    _assert_lp_norm_is_oracle(values, rng.uniform(0.1, 5.0, n))
+
+
+@given(st.integers(128, 400), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_lp_norm_any_leaf_size(leaf, n, seed):
+    # any leaf from numpy's 128-value block up cuts at numpy's own points
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    old = gridfn._SUM_LEAF
+    gridfn._SUM_LEAF = leaf
+    try:
+        _assert_lp_norm_is_oracle(values, rng.uniform(0.0, 1e3, n))
+    finally:
+        gridfn._SUM_LEAF = old
 
 
 def test_lp_norm_weight_grid_mismatch():
@@ -397,6 +442,23 @@ def test_atoms_at_different_scales_are_dilates():
     a = make_atom(Interval(0.0, 1.0), seed=3, cells=8)
     b = make_atom(Interval(0.0, 4.0), seed=3, cells=8)
     assert np.allclose(b.fn.values * 4.0, a.fn.values, rtol=1e-15)
+
+
+@pytest.mark.parametrize("length", [0.03125, 1.0, 3.0, 0.1, 2.0**5])
+def test_atom_keeps_the_bits_of_one_draw_per_call(length):
+    # the old make_atom, drawing and scaling in one go, is the oracle of the
+    # draw that h1_l1 makes once per seed and dilates to every scale
+    I = Interval(-0.5, -0.5 + length)
+    v = np.random.default_rng(11).uniform(-1.0, 1.0, size=16)
+    v -= v.mean()
+    v -= v.mean()
+    v *= 1.0 / (np.max(np.abs(v)) * I.length)
+    pattern = atom_pattern(11, 16)
+    for atom in (make_atom(I, 11, 16), dilate_atom(I, pattern)):
+        assert atom.interval == I
+        assert (atom.fn.x0, atom.fn.h) == (I.lo, I.length / 16)
+        assert atom.fn.values.tobytes() == v.tobytes()
+    assert not pattern[0].flags.writeable
 
 
 def test_atom_needs_two_cells():

@@ -372,6 +372,22 @@ def test_vector_valued_computes_each_variation_once(monkeypatch):
     assert len(calls) == 2 * 2
 
 
+def test_h1_l1_draws_each_atom_once(monkeypatch):
+    # one seeded draw per atom, dilated to every scale, not one per scale
+    draws = collections.Counter()
+    original = harness.atom_pattern
+
+    def counting(seed, cells):
+        draws[seed] += 1
+        return original(seed, cells)
+
+    monkeypatch.setattr(harness, "atom_pattern", counting)
+    sc = from_config({"kind": "h1_l1", "seed": 4, "options": {"scale_exps": [-1, 0, 2], "atoms_per_scale": 3}})
+    rep = run_scenario(sc)
+    assert len(rep.cases) == 3 * 3
+    assert draws == {4: 1, 5: 1, 6: 1}
+
+
 @pytest.mark.parametrize("config, grids", [
     ({"kind": "l2_multiplier", "options": {"eval_cells": 4096}}, 2),
     ({"kind": "weak_11"}, 6),

@@ -1,0 +1,34 @@
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import lacvar
+
+MODULES = sorted(Path(lacvar.__file__).parent.glob("*.py"))
+
+# CPython's parser doubles its token array past 8,192 tokens.  The benchmark
+# imports lacvar from source, without a bytecode cache, so a module past the
+# cliff costs about +0.6 MB of peak_rss_mb on every workload.
+TOKEN_CLIFF = 8192
+
+
+def parser_tokens(path: Path) -> int:
+    """The tokens the parser keeps: every token but comments, NL and the encoding."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(path, "rb") as fh:
+        return sum(1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skip)
+
+
+def test_modules_found():
+    assert {"harness.py", "avgops.py", "fourier.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_under_parser_token_cliff(path):
+    n = parser_tokens(path)
+    assert n < TOKEN_CLIFF, (
+        f"{path.name} has {n} parser tokens, not fewer than {TOKEN_CLIFF}: compiling it "
+        "from source doubles the parser's token array, about +0.6 MB of peak_rss_mb "
+        "on every benchmark workload; split the module or trim it"
+    )
