@@ -21,8 +21,18 @@ fold is one array operation over every row.  Their primitives come from one
 table per call, which a set of points reads by one binary search and a
 gather over every row, with np.interp's arithmetic; a single function keeps
 np.interp, which is cheaper for one column.  `variation_at` is the one-row
-case.  `variation` samples at a grid's midpoints, which are ascending by
-construction, so it skips the order check.
+case.
+
+`variations` and `vector_variations` sample a family on one eval grid,
+and `variation` one function.  A grid's midpoints are ascending by
+construction, so the order check is skipped, and they are cut into runs
+once: a folded point, or a flat stretch's first point with the points
+that copy it.  Each member is folded only at the runs' first points, its
+representatives, and expanded to the grid by np.repeat over the run
+lengths when it is reached.  The members are folded several per call, in
+groups of about grid.n // representatives, so a group's representatives
+never take more than one array over the grid; on a grid with no flat
+stretch that is one member.
 """
 
 from __future__ import annotations
@@ -35,8 +45,8 @@ import numpy as np
 from .gridfn import GridFunction, GridMismatch, UniformGrid, require_same_grid
 from .lacunary import LacunarySeq
 
-# Points per fold batch of variations_at, over the number of functions: its
-# scratch is a few arrays of this size.
+# Points per fold batch, over the number of functions folded together: the
+# fold's scratch is a few arrays of this size.
 _CHUNK = 1 << 14
 
 
@@ -365,6 +375,20 @@ def _batches(spans: list[tuple[int, int]], size: int):
         yield batch
 
 
+def _runs(f: GridFunction, below: np.ndarray, above: np.ndarray, x: np.ndarray):
+    """Ascending, NaN-free x cut at f's flat stretches: the spans [a, b) to
+    fold point by point, and the copied spans [a + 1, b), each repeating
+    the folded point a before it, both in order."""
+    cuts = np.searchsorted(x, _flat_stretches(f.x1, below, above)).tolist()
+    copied = [(a + 1, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 1]
+    ends = [0, *(i for ab in copied for i in ab), x.size]
+    return [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b], copied
+
+
+def _primitives(fs: list[GridFunction]) -> _Interp | _Table:
+    return _Table(fs) if len(fs) > 1 else _Interp(fs[0])
+
+
 def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -> np.ndarray:
     """V_s f at ascending x, one row per f, where NaN may only come last and gives NaN."""
     vals = np.empty((len(fs), x.size), dtype=np.float64)
@@ -373,13 +397,10 @@ def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -
     # the functions share a grid, so they share the zones and the stretches
     below, above = _zone_edges(fs[0], scales)
     # one primitive table for all the batches of several functions
-    prims = _Table(fs) if len(fs) > 1 else _Interp(fs[0])
-    cuts = np.searchsorted(x[:m], _flat_stretches(fs[0].x1, below, above)).tolist()
-    # past the first point of each flat stretch, the points copy it; the
-    # spans between are folded, packed into full batches
-    copied = [(a + 1, b) for a, b in zip(cuts[::2], cuts[1::2]) if b - a > 1]
-    ends = [0, *(i for ab in copied for i in ab), m]
-    spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+    prims = _primitives(fs)
+    # the spans between the copied stretches are folded, packed into full
+    # batches
+    spans, copied = _runs(fs[0], below, above, x[:m])
     for batch in _batches(spans, max(1, _CHUNK // len(fs))):
         res = _fold(prims, scales, s, np.concatenate([x[a:b] for a, b in batch]), below, above)
         at = 0
@@ -401,15 +422,29 @@ def _ascending(x: np.ndarray) -> bool:
     return all(w[0] == w[0] and np.all(w[1:] >= w[:-1]) for w in windows)
 
 
+def _gate(f: GridFunction, row: np.ndarray, seq: LacunarySeq, spec: VariationSpec) -> None:
+    """Hold V_s f to the tail gate when spec.enforce_tail is on; row holds
+    its values at points that include one where it is largest."""
+    if spec.enforce_tail:
+        _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(row, initial=0.0)), spec, seq)
+
+
+def _check_family(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec) -> None:
+    if not fs:
+        raise ValueError("need at least one function")
+    for g in fs[1:]:
+        require_same_grid(fs[0], g)
+    spec.check_seq(seq)
+
+
 def _gated_variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, x: np.ndarray) -> np.ndarray:
     """variations_at at ascending x where NaN may only come last, unchecked.
 
     When spec.enforce_tail is on, each row is held to the tail gate in turn.
     """
     vals = _variation_sorted(fs, seq.scales[: spec.k_max + 1], spec.s, x)
-    if spec.enforce_tail:
-        for f, row in zip(fs, vals):
-            _tail_gate(tail_bound(f, seq, spec.s, spec.k_max), float(np.max(row, initial=0.0)), spec, seq)
+    for f, row in zip(fs, vals):
+        _gate(f, row, seq, spec)
     return vals
 
 
@@ -450,11 +485,7 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
     When spec.enforce_tail is on, each row is held to the tail gate in
     turn, and the first that fails raises TailTooLarge.
     """
-    if not fs:
-        raise ValueError("need at least one function")
-    for g in fs[1:]:
-        require_same_grid(fs[0], g)
-    spec.check_seq(seq)
+    _check_family(fs, seq, spec)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if _ascending(x):
         return _gated_variations(fs, seq, spec, x)
@@ -479,14 +510,76 @@ def variation(
     spec: VariationSpec,
     eval_grid: UniformGrid | None = None,
 ) -> GridFunction:
-    """V_s f sampled at eval-grid midpoints (default grid: support + right pad)."""
+    """V_s f sampled at eval-grid midpoints (default grid: support + right pad).
+
+    The one-member case of variations.
+    """
     spec.check_seq(seq)
     if eval_grid is None:
         eval_grid = default_eval_grid(f, seq, spec.k_max)
-    # midpoints are ascending and NaN-free, so the order check is skipped
-    vals = _gated_variations([f], seq, spec, eval_grid.midpoints)
+    return next(variations([f], seq, spec, eval_grid))
+
+
+def _representatives(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, grid: UniformGrid):
+    """V_s f for each f of fs at the run representatives of grid's midpoints, unchecked.
+
+    A run is a folded point and the points of a flat stretch that copy it.
+    Returns (counts, rows): counts[i] is the length of run i, and rows
+    yields, for each f in order, V_s f at the first point of every run, so
+    np.repeat(row, counts) is V_s f at every midpoint.  Each row is held to
+    the tail gate before it is yielded.  The members are folded in groups
+    of about grid.n // len(counts), _CHUNK // len(group) points per call, so
+    that a group's representatives take at most one V_s array of the grid;
+    the rows of a group are views of one read-only array, folded when its
+    first row is asked for.
+    """
+    scales = seq.scales[: spec.k_max + 1]
+    x = grid.midpoints
+    below, above = _zone_edges(fs[0], scales)
+    first = np.concatenate([np.arange(a, b) for a, b in _runs(fs[0], below, above, x)[0]])
+    counts = np.diff(first, append=x.size)
+    reps = x[first]
+
+    def rows():
+        size = x.size // reps.size  # at least 1: reps are some of the points
+        for lo in range(0, len(fs), size):
+            group = fs[lo : lo + size]
+            prims, step = _primitives(group), max(1, _CHUNK // len(group))
+            vals = np.empty((len(group), reps.size))
+            for a in range(0, reps.size, step):
+                vals[:, a : a + step] = _fold(prims, scales, spec.s, reps[a : a + step], below, above).T
+            vals.setflags(write=False)
+            for f, row in zip(group, vals):
+                _gate(f, row, seq, spec)
+                yield row
+
+    return counts, rows()
+
+
+def _on_grid(row: np.ndarray, counts: np.ndarray, grid: UniformGrid) -> GridFunction:
+    """The values at every midpoint of grid from those at its run
+    representatives, handed to GridFunction read-only, without a copy."""
+    vals = np.repeat(row, counts) if counts.size < grid.n else row
     vals.setflags(write=False)
-    return GridFunction(eval_grid.x0, eval_grid.h, vals[0])
+    return GridFunction(grid.x0, grid.h, vals)
+
+
+def variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, eval_grid: UniformGrid):
+    """V_s f for each f of fs sampled at eval_grid's midpoints: an iterator
+    of one GridFunction per f, in order.
+
+    The functions must share one grid; that and the sequence's length are
+    checked here, before anything is folded.  V_s f is folded only at the
+    run representatives (see _representatives), several members per
+    kernel call, and each member's samples are expanded from them as the
+    iterator reaches it, so beyond the member in hand only one group's
+    representatives are held.  The bits are those of variations_at([f],
+    seq, spec, eval_grid.midpoints), and with spec.enforce_tail each
+    member is held to the tail gate as it is reached.
+    """
+    _check_family(fs, seq, spec)
+    counts, rows = _representatives(fs, seq, spec, eval_grid)
+    return (_on_grid(row, counts, eval_grid) for row in rows)
 
 
 def vector_variations(
@@ -498,26 +591,26 @@ def vector_variations(
 ) -> list[GridFunction]:
     """Pointwise ell^rho aggregates (sum_j (V_s f_j)^rho)^(1/rho), one per rho.
 
-    Each V_s f_j is computed once and folded into every rho's sum, _CHUNK
-    points at a time through scratch copies, so the memory beyond the sums
-    is one V_s array and O(_CHUNK) scratch.
+    Each V_s f_j is computed once, at the run representatives of the
+    grid's midpoints (see _representatives), and folded into every rho's
+    sum there, _CHUNK points at a time through scratch copies; each
+    aggregate is expanded to the whole grid once.  So the sums take
+    2 len(rhos) arrays of the representatives' size, and beyond them one
+    group of representatives and O(_CHUNK) scratch are held.
     """
-    if not fs:
-        raise ValueError("need at least one function")
     for rho in rhos:
         if not rho > 1.0:
             raise ValueError(f"aggregation exponent must exceed 1, got {rho!r}")
-    for g in fs[1:]:
-        require_same_grid(fs[0], g)
+    _check_family(fs, seq, spec)
     if eval_grid is None:
         eval_grid = default_eval_grid(fs[0], seq, spec.k_max)
-    x = eval_grid.midpoints
-    sums = [(np.zeros(x.size), np.zeros(x.size)) for _ in rhos]
+    counts, rows = _representatives(fs, seq, spec, eval_grid)
+    r = counts.size
+    sums = [(np.zeros(r), np.zeros(r)) for _ in rhos]
     term, big = np.empty(_CHUNK), np.empty(_CHUNK)
-    for g in fs:
-        v = variation_at(g, seq, spec, x)
-        for lo in range(0, x.size, _CHUNK):
-            n = min(_CHUNK, x.size - lo)
+    for v in rows:
+        for lo in range(0, r, _CHUNK):
+            n = min(_CHUNK, r - lo)
             for rho, (acc, comp) in zip(rhos, sums):
                 np.copyto(term[:n], v[lo : lo + n])
                 _fold_power(acc[lo : lo + n], comp[lo : lo + n], term[:n], rho, big[:n])
@@ -526,8 +619,7 @@ def vector_variations(
         acc, comp = sums.pop(0)  # each sum is freed once its result is made
         acc += comp
         acc **= 1.0 / rho
-        acc.setflags(write=False)
-        out.append(GridFunction(eval_grid.x0, eval_grid.h, acc))
+        out.append(_on_grid(acc, counts, eval_grid))
     return out
 
 

@@ -28,12 +28,13 @@ import copy
 import json
 import math
 import time
+from itertools import groupby
 from dataclasses import dataclass, field, asdict, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variations_at, vector_variations
+from .avgops import VariationSpec, default_eval_grid, tail_bound, variation, variations, variations_at, vector_variations
 from .fourier import multiplier_scans, multiplier_sums, multiplier_tail, parse_xi_grid
 from .gridfn import (
     GridFunction,
@@ -410,18 +411,20 @@ def _family_cases(inp: _Inputs, lhs_of, rhs_of, grids_of=_grids_for) -> list[Cas
     V_s f is sampled on the first grid of grids_of(f, inp) for the case
     ratio and on the second (half the step) for `ratio_refined`.  grids_of
     may read only f's grid (x0, h, n): a run of consecutive members on one
-    grid shares one pair, and only the current run's pair is held.
+    grid shares one pair and one `variations` call per grid, which folds
+    several members at a time.  Only the current run's pair is held, and
+    one member's two samples are made and measured in turn.
     """
     seq, spec = inp.seq, inp.spec
     cases = []
-    key = None
-    for i, f in enumerate(inp.fams):
-        if (f.x0, f.h, f.n) != key:
-            key, grids = (f.x0, f.h, f.n), grids_of(f, inp)
-        lhs, lhs2 = (lhs_of(variation(f, seq, spec, g)) for g in grids)
-        rhs = rhs_of(f)
-        extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
-        cases.append(CaseResult(f"fn{i:03d}", lhs, rhs, lhs / rhs, extra))
+    for _, run in groupby(inp.fams, lambda f: (f.x0, f.h, f.n)):
+        run = list(run)
+        pair = [variations(run, seq, spec, g) for g in grids_of(run[0], inp)]
+        for f in run:
+            lhs, lhs2 = (lhs_of(next(vs)) for vs in pair)
+            rhs = rhs_of(f)
+            extra = {"ratio_refined": lhs2 / rhs, "tail_bound": tail_bound(f, seq, spec.s, spec.k_max)}
+            cases.append(CaseResult(f"fn{len(cases):03d}", lhs, rhs, lhs / rhs, extra))
     return cases
 
 
@@ -520,7 +523,7 @@ def _run_linf_bmo(sc, inp):
     return _Outcome(cases, checks, stab["base"], stab)
 
 
-def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[tuple[float, float]]:
+def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[list[float]]:
     """Exact support cover of the variation of a mean-zero function on I.
 
     Each window average vanishes unless x or x - n_k lands inside I, so the
@@ -536,7 +539,7 @@ def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[tuple[float, 
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    return [(a, b) for a, b in merged]
+    return merged
 
 
 def _zone_cells(I: Interval, seq, spec, points_per_scale: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 from unittest import mock
@@ -21,10 +22,11 @@ from lacvar import (
     tail_bound,
     variation,
     variation_at,
+    variations,
     variations_at,
     vector_variation,
 )
-from lacvar import avgops
+from lacvar import avgops, make_family
 from lacvar.gridfn import GridMismatch
 from lacvar.avgops import _fold_power, l1_norm, vector_variations
 
@@ -471,10 +473,11 @@ def test_vector_variation_matches_stacked_route_exactly(seed, chunk):
 
 
 def test_vector_variations_hold_one_member_array_at_a_time():
-    # 8 members and 3 exponents: the sums take 6 x.nbytes, and the
-    # midpoints, the member in hand and the next one about 1 each (9 in
-    # all; each aggregate is handed over without a copy); holding every
-    # member's array would add 6 more
+    # 8 members and 3 exponents on 2^17 midpoints, 1,672 of them run
+    # representatives: the three aggregates take 3 x.nbytes (each is
+    # handed over without a copy), the midpoints 1, and the sums and the
+    # one group of representatives a fraction of one (4.5 in all; grid-
+    # sized sums took 9); holding every member's grid array would add 8
     rng = np.random.default_rng(0)
     fs = [GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64)) for _ in range(8)]
     seq = parse_sequence("geometric:0.03125:2:16")
@@ -812,3 +815,187 @@ def test_variations_read_each_primitive_once(monkeypatch):
     assert len(calls) == len(set(calls)) <= len(fs)
     for row, w in zip(got, want):
         assert row.tobytes() == w.tobytes()
+
+
+# ------------------------------------------------------- the family route
+
+
+def _grid_features(f, scales, x):
+    """The lengths of the flat stretches among the ascending points x,
+    found by counting the zone thresholds at or below each point (windows
+    [t_L, t_R) that do not overlap), independent of _flat_stretches."""
+    below, above = avgops._zone_edges(f, scales)
+    gap = np.searchsorted(np.sort(np.concatenate([below, above])), x, side="right")
+    flat = (x >= f.x1) & (gap % 2 == 0)
+    lengths = collections.Counter(int(g) for g, fl in zip(gap, flat) if fl)
+    return set(lengths.values())
+
+
+def test_variations_match_one_member_calls_exactly(monkeypatch):
+    # 7 members on [0, 1), windows [n, n + 1) for n = 2, 4, .., 64, and
+    # midpoints from -0.5 to L: L = 1 leaves no flat stretch, and larger L
+    # leave more of the grid flat, so the derived group size grid.n //
+    # representatives runs from 1 through every size up to all 7 members
+    # (groups of 2, 3, 4, 5 and 6 leave a shorter last group).  Steps 0.5
+    # and 0.75 give flat stretches of 1 and 2 points, either side of the
+    # b - a > 1 edge of the copy
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8)) for _ in range(7)]
+    seq = parse_sequence("geometric:2:2:6")
+    columns = []
+    fold = avgops._fold
+
+    def spy(prims, scales, s, x, below, above):
+        columns.append(prims.count)
+        return fold(prims, scales, s, x, below, above)
+
+    monkeypatch.setattr(avgops, "_fold", spy)
+    groups, stretches = set(), set()
+    for i, (h, L) in enumerate((h, L) for h in (0.5, 0.75) for L in (1, 2, 5, 12, 17, 30, 40, 64, 100, 200)):
+        spec = _spec(s=(1.0, 2.0, 2.5, 7.3)[i % 4], k_max=5)
+        grid = UniformGrid(-0.5, h, int((L + 0.5) / h))
+        x = grid.midpoints
+        counts, _ = avgops._representatives(fs, seq, spec, grid)
+        size = grid.n // counts.size
+        if L == 1:
+            assert counts.size == grid.n and size == 1
+        columns.clear()
+        got = list(variations(fs, seq, spec, grid))
+        sizes = [min(size, len(fs) - lo) for lo in range(0, len(fs), size)]
+        assert columns == sizes  # the representatives fit one batch here
+        for f, v in zip(fs, got):
+            assert (v.x0, v.h, v.n) == (grid.x0, grid.h, grid.n)
+            want = variations_at([f], seq, spec, x)[0]
+            assert v.values.tobytes() == want.tobytes()
+            assert want.tobytes() == oracle_variation_at(f, seq, spec, x).tobytes()
+        groups.add(min(size, len(fs)))
+        stretches |= _grid_features(fs[0], seq.scales, x)
+    assert groups == set(range(1, 8))
+    assert {1, 2} <= stretches
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 2.0, 2.5, 7.3]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=7),
+)
+def test_representatives_repeat_to_the_midpoint_samples(seed, s, count, chunk):
+    # every run has at least one point and the runs tile the grid; with
+    # _CHUNK patched, a group's representatives cross several batch edges
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(1, 24))
+    x0 = float(rng.choice([rng.uniform(-2.0, 2.0), -rng.uniform(1.0, 1e4), 0.0]))
+    h = float(rng.uniform(0.01, 0.5))
+    fs = [GridFunction(x0, h, rng.uniform(-1.0, 1.0, size=cells)) for _ in range(count)]
+    seq = parse_sequence(f"geometric:{rng.uniform(0.01, 1.0):.6g}:2:{int(rng.integers(2, 10))}")
+    spec = _spec(s=s, k_max=int(rng.integers(1, len(seq))))
+    grid = default_eval_grid(fs[0], seq, spec.k_max, h=h * rng.uniform(0.1, 2.0))
+    grid = UniformGrid(grid.x0 - rng.uniform(0.0, 1.0), grid.h, grid.n + int(rng.integers(0, 200)))
+    want = variations_at(fs, seq, spec, grid.midpoints)
+    with mock.patch.object(avgops, "_CHUNK", chunk):
+        counts, rows = avgops._representatives(fs, seq, spec, grid)
+        rows = list(rows)
+        got = list(variations(fs, seq, spec, grid))
+    assert counts.sum() == grid.n and counts.min() >= 1
+    assert len(rows) == len(got) == count
+    for row, v, w in zip(rows, got, want):
+        assert row.size == counts.size
+        assert np.repeat(row, counts).tobytes() == w.tobytes() == v.values.tobytes()
+
+
+def test_variations_hold_each_member_to_the_tail_gate():
+    # the zero function passes any gate, the indicator between two of them
+    # does not: the family route yields the first, then raises what the
+    # one-member route raises for the indicator on the same grid, and so
+    # does vector_variations
+    zero = GridFunction(0.0, 0.125, np.zeros(8))
+    f = GridFunction(0.0, 0.125, np.ones(8))
+    seq = parse_sequence("geometric:1:2:30")
+    tight = VariationSpec(s=2.0, k_max=4, tail_tol=1e-6)
+    grid = default_eval_grid(f, seq, 4, h=0.0625)
+    with pytest.raises(TailTooLarge) as alone:
+        variation(f, seq, tight, grid)
+    members = variations([zero, f, zero], seq, tight, grid)
+    assert not np.any(next(members).values)
+    with pytest.raises(TailTooLarge) as family:
+        next(members)
+    with pytest.raises(TailTooLarge) as aggregate:
+        vector_variations([zero, f], seq, tight, (2.0,), grid)
+    for err in (family.value, aggregate.value):
+        assert (err.tail, err.tol, err.k_needed) == (alone.value.tail, alone.value.tol, alone.value.k_needed)
+    assert list(variations([zero, zero], seq, tight, grid))
+
+
+def test_family_routes_check_the_sequence_first():
+    # k_max = 9 needs 10 scales; the default grid used to read scale 9 of
+    # a 6-scale sequence first and raise IndexError
+    f = GridFunction(0.0, 0.125, np.ones(8))
+    seq = parse_sequence("geometric:1:2:6")
+    spec = VariationSpec(k_max=9)
+    need = "k_max=9 needs 10 scales, sequence has 6"
+    for grid in (None, UniformGrid(0.0, 0.5, 8)):
+        with pytest.raises(ValueError, match=need):
+            vector_variation([f], seq, spec, 2.0, grid)
+    with pytest.raises(ValueError, match=need):
+        variations([f], seq, spec, UniformGrid(0.0, 0.5, 8))  # at the call, not at the first member
+    with pytest.raises(GridMismatch):
+        variations([f, GridFunction(0.0, 0.25, np.ones(8))], seq, _spec(k_max=5), UniformGrid(0.0, 0.5, 8))
+
+
+def test_variations_scratch_is_one_member_and_one_group():
+    # l2_multiplier's family: 100 members, 64 cells, 13 scales, 65,536
+    # midpoints of which 8,070 are representatives, so groups of 8.  Beyond
+    # the member in hand (grid.nbytes), the route holds one group of
+    # representatives, their points and run lengths, and a batch's scratch:
+    # the fold's six buffers of _CHUNK values and its per-point temporaries
+    # (1.99 MiB in all; the bound is 2.18, one group of all 100 members
+    # alone would take 6.2)
+    fs = make_family("random_step", {"count": 100, "cells": 64, "length": 1.0, "seed": 12})
+    seq = parse_sequence("geometric:0.015625:2:13")
+    spec = _spec(k_max=12)
+    f0 = fs[0]
+    grid = UniformGrid(f0.x0, (f0.x1 + seq.scales[12] - f0.x0) / 65_536, 65_536)
+    for f in fs:
+        f.primitive_at(0.0)  # build the cached edge tables outside the traced call
+    # and the midpoints, which this call caches on the grid
+    reps = avgops._representatives(fs[:1], seq, spec, grid)[0].size
+    size = grid.n // reps
+    assert (reps, size) == (8070, 8)
+    tracemalloc.start()
+    try:
+        lengths = list(map(lambda v: v.n, variations(fs, seq, spec, grid)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lengths == [grid.n] * len(fs)
+    assert peak < grid.n * 8 + size * reps * 8 + 3 * reps * 8 + 8 * avgops._CHUNK * 8
+
+
+def test_vector_variations_sums_are_sized_by_the_representatives():
+    # vector_valued's refined grid: 8 members, 131,200 midpoints, 1,545
+    # representatives, so all 8 members fold in one group.  The three
+    # aggregates are the result (3 grid.nbytes); beside them the route
+    # holds the 2 x 3 sums, the group's representatives, their points and
+    # run lengths, and a batch's scratch (0.51 MiB in all, bound 1.2).
+    # Grid-sized sums took 6 grid.nbytes, 6 MiB, more
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(0.0, 1.0 / 64, rng.uniform(-1.0, 1.0, size=64)) for _ in range(8)]
+    seq = parse_sequence("geometric:0.03125:2:16")
+    spec = _spec(k_max=15)
+    grid = default_eval_grid(fs[0], seq, 15, h=1.0 / 128)
+    grid.midpoints  # cached outside the traced call
+    for f in fs:
+        f.primitive_at(0.0)
+    reps = avgops._representatives(fs[:1], seq, spec, grid)[0].size
+    assert (grid.n, reps) == (131_200, 1_545)
+    rhos = (1.5, 2.0, 3.0)
+    tracemalloc.start()
+    try:
+        aggs = vector_variations(fs, seq, spec, rhos, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(aggs) == 3
+    sums = 2 * len(rhos) * reps * 8
+    assert peak - 3 * grid.n * 8 < sums + len(fs) * reps * 8 + 3 * reps * 8 + 8 * avgops._CHUNK * 8

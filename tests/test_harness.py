@@ -357,19 +357,30 @@ def test_cases_run_on_the_calling_thread(monkeypatch):
 
 
 def test_vector_valued_computes_each_variation_once(monkeypatch):
-    calls = []
-    original = avgops.variation_at
+    # every V_s f comes from the family route's rows; count them per member
+    # and grid, holding each grid so that no two share an id
+    rows = collections.Counter()
+    grids = []
+    original = avgops._representatives
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(fs, seq, spec, grid):
+        grids.append(grid)
+        counts, it = original(fs, seq, spec, grid)
 
-    monkeypatch.setattr(avgops, "variation_at", counting)
+        def recorded():
+            for f, row in zip(fs, it):
+                rows[id(f), id(grid)] += 1
+                yield row
+
+        return counts, recorded()
+
+    monkeypatch.setattr(avgops, "_representatives", counting)
     rep = run_scenario(from_config({"kind": "vector_valued", "family": {"count": 2}}))
     assert len(rep.cases) == 3  # rho = 1.5, 2, 3
     # V_s f does not depend on rho: each member once on the base grid and
-    # once on the refined one
-    assert len(calls) == 2 * 2
+    # once on the refined one, in one call per grid
+    assert len(grids) == len({id(g) for g in grids}) == 2
+    assert sorted(rows.values()) == [1] * (2 * 2)
 
 
 def test_h1_l1_draws_each_atom_once(monkeypatch):
@@ -394,19 +405,42 @@ def test_h1_l1_draws_each_atom_once(monkeypatch):
 ])
 def test_family_cases_build_each_grid_pair_once(monkeypatch, config, grids):
     # l2_multiplier's 100 random steps share one grid, so one pair of eval
-    # grids serves them all; the three spikes of weak_11 each have their
-    # own grid and pair
-    seen = []
-    original = harness.variation
+    # grids, and one family call per grid, serves them all; the three
+    # spikes of weak_11 each have their own grid and pair
+    seen, calls = [], []
+    original = harness.variations
 
-    def recording(f, seq, spec, eval_grid):
-        seen.append(eval_grid)  # held, so no two grids share an id
-        return original(f, seq, spec, eval_grid)
+    def recording(fs, seq, spec, eval_grid):
+        calls.append(eval_grid)  # held, so no two grids share an id
+        for v in original(fs, seq, spec, eval_grid):
+            seen.append(eval_grid)
+            yield v
 
-    monkeypatch.setattr(harness, "variation", recording)
+    monkeypatch.setattr(harness, "variations", recording)
     rep = run_scenario(from_config(config))
     assert len(seen) == 2 * len(rep.cases)
-    assert len({id(g) for g in seen}) == grids
+    assert len({id(g) for g in seen}) == len(calls) == grids
+
+
+@pytest.mark.parametrize("kind", ["weak_11", "strong_pp", "weighted_pp"])
+def test_family_cases_sample_each_member_as_variations_at_does(kind):
+    # weak_11's spikes each have their own grid (runs of one member);
+    # strong_pp folds its 20 members in one group, weighted_pp in groups of
+    # 2.  Each member's two samples must have the bits of the point route
+    # at the same grids' midpoints, one member at a time, in member order
+    inp = harness._parse(from_config({"kind": kind, "seed": 5}))
+    got = []
+
+    def digest(v):
+        got.append((v.x0, v.h, v.n, hashlib.sha256(v.values.tobytes()).hexdigest()))
+        return 1.0
+
+    harness._family_cases(inp, digest, lambda f: 1.0)
+    want = [
+        (g.x0, g.h, g.n, hashlib.sha256(avgops.variations_at([f], inp.seq, inp.spec, g.midpoints)[0].tobytes()).hexdigest())
+        for f in inp.fams for g in harness._grids_for(f, inp)
+    ]
+    assert got == want
 
 
 def test_weak_11_memory_peak_holds_one_grid_pair():
