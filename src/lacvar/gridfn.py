@@ -147,6 +147,10 @@ class GridFunction:
         sa, sb = self.primitive_at([a, b])
         return float(sb - sa)
 
+    def mean_over(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Exact mean of f over each [lo[i], hi[i]), with hi > lo."""
+        return (self.primitive_at(hi) - self.primitive_at(lo)) / (hi - lo)
+
 
 def require_same_grid(f: GridFunction, g: GridFunction) -> None:
     if f.n != g.n or f.x0 != g.x0 or f.h != g.h:
@@ -225,6 +229,22 @@ def superlevel_measure(f: GridFunction, lam: float, w=None) -> float:
     return float(np.sum(wc[mask]) * f.h)
 
 
+def weak_sup(v: GridFunction, w_cells: np.ndarray | None = None) -> float:
+    """Exact sup over lambda of lambda * measure{v > lambda}.
+
+    The superlevel measure is a step function of lambda, so the sup equals
+    max over the attained values t of t * measure{v >= t}; a descending
+    sort with cumulative cell measures evaluates every candidate at once.
+    """
+    vals = v.values
+    order = np.argsort(-vals, kind="stable")
+    # the measures are gathered before the sum and the candidates formed
+    # in place, so at most three N-float arrays are live beside v
+    cum = np.cumsum(np.full(vals.shape, v.h) if w_cells is None else v.h * w_cells[order])
+    cum *= vals[order]
+    return float(np.max(cum))
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -266,6 +286,10 @@ class IntervalFamily:
         return self.lo.size
 
 
+# Most candidate intervals make_dyadic_family builds (linf_bmo's defaults make about 7k)
+_MAX_INTERVALS = 1 << 22
+
+
 def make_dyadic_family(
     domain: Interval,
     min_len: float,
@@ -281,7 +305,7 @@ def make_dyadic_family(
     the family keeps only intervals contained in the padded domain.
     `shifts` adds translated copies of the lattice (as fractions of each
     interval's own length).  Intervals come level by level, shift by shift,
-    in increasing j.
+    in increasing j.  More than _MAX_INTERVALS candidates is a ValueError.
     """
     lo, hi = domain.lo - margin, domain.hi + margin
     if not min_len > 0.0:
@@ -290,20 +314,27 @@ def make_dyadic_family(
     m_bot = int(np.ceil(np.log2(min_len) - 1e-12))
     if m_top < m_bot:
         raise EmptyFamily("no dyadic level fits between min_len and the domain length")
-    los, his = [], []
+    # counted first, in Python ints, so that a refused family makes no array
+    lattices, total = [], 0
     for m in range(m_top, m_bot - 1, -1):
         ln = 2.0**m
         for frac in shifts:
             off = frac * ln
             j0 = int(np.floor((lo - off) / ln))
             j1 = int(np.ceil((hi - off) / ln))
-            a = np.arange(j0, j1 + 1) * ln + off
-            b = a + ln
-            keep = (b > lo) & (a < hi)
-            if inside_only:
-                keep &= (a >= lo) & (b <= hi)
-            los.append(a[keep])
-            his.append(b[keep])
+            total += j1 - j0 + 1
+            if total > _MAX_INTERVALS:
+                raise ValueError(f"min_len {min_len!r} needs more than {_MAX_INTERVALS} intervals on a length of {hi - lo!r}")
+            lattices.append((ln, off, j0, j1))
+    los, his = [], []
+    for ln, off, j0, j1 in lattices:
+        a = np.arange(j0, j1 + 1) * ln + off
+        b = a + ln
+        keep = (b > lo) & (a < hi)
+        if inside_only:
+            keep &= (a >= lo) & (b <= hi)
+        los.append(a[keep])
+        his.append(b[keep])
     return IntervalFamily(np.concatenate(los), np.concatenate(his))
 
 
@@ -323,7 +354,7 @@ def bmo_norm(f: GridFunction, family: IntervalFamily) -> float:
     adds in the same order as the 1-d sum of that row.
     """
     lo, hi = family.lo, family.hi
-    avg = (f.primitive_at(hi) - f.primitive_at(lo)) / (hi - lo)
+    avg = f.mean_over(lo, hi)
     # cell edges x0 + i*h with i0 <= i <= i1 are the candidate cuts; the
     # clips only keep far-away endpoints inside int64
     i0 = np.clip(np.ceil((lo - f.x0) / f.h), 0, f.n + 1).astype(np.int64)

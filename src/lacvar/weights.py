@@ -60,10 +60,6 @@ def _inside_bounds(fn: GridFunction, family: IntervalFamily) -> tuple[np.ndarray
     return lo, hi
 
 
-def _averages(fn: GridFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return (fn.primitive_at(hi) - fn.primitive_at(lo)) / (hi - lo)
-
-
 def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:
     """max over the family of (avg_I w) * (avg_I w^(-1/(p-1)))^(p-1).
 
@@ -74,7 +70,7 @@ def ap_constant(w: Weight, p: float, family: IntervalFamily) -> float:
         raise ValueError(f"need p > 1, got {p!r}")
     lo, hi = _inside_bounds(w.fn, family)
     dual = GridFunction(w.fn.x0, w.fn.h, w.fn.values ** (-1.0 / (p - 1.0)))
-    prod = _averages(w.fn, lo, hi) * _averages(dual, lo, hi) ** (p - 1.0)
+    prod = w.fn.mean_over(lo, hi) * dual.mean_over(lo, hi) ** (p - 1.0)
     return float(np.max(prod))
 
 
@@ -92,7 +88,7 @@ def a1_constant(w: Weight, family: IntervalFamily) -> float:
     # slot makes a stop at n a valid index
     padded = np.append(w.fn.values, np.inf)
     mins = np.minimum.reduceat(padded, np.stack([i0, i1 + 1], axis=1).ravel())[::2]
-    return float(np.max(_averages(w.fn, lo, hi) / mins))
+    return float(np.max(w.fn.mean_over(lo, hi) / mins))
 
 
 def power_weight(alpha: float, grid: UniformGrid) -> Weight:

@@ -223,6 +223,15 @@ def test_dyadic_family_empty_raises():
         make_dyadic_family(Interval(0.0, 1.0), 4.0)
 
 
+def test_dyadic_family_refused_past_the_interval_cap(monkeypatch):
+    # levels 1, 1/2 and 1/4 of [0, 1) make 2 + 3 + 5 candidates, 7 kept
+    monkeypatch.setattr(gridfn, "_MAX_INTERVALS", 10)
+    assert len(make_dyadic_family(Interval(0.0, 1.0), 0.25)) == 7
+    monkeypatch.setattr(gridfn, "_MAX_INTERVALS", 9)
+    with pytest.raises(ValueError, match="more than 9 intervals"):
+        make_dyadic_family(Interval(0.0, 1.0), 0.25)
+
+
 def oracle_dyadic_family(domain, min_len, *, margin=0.0, shifts=(0.0,), inside_only=True):
     """One Interval per member in a triple loop: the build make_dyadic_family replaced."""
     lo, hi = domain.lo - margin, domain.hi + margin

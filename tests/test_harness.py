@@ -1,6 +1,8 @@
 import collections
 import hashlib
 import json
+import os
+import resource
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +16,6 @@ from lacvar import (
     DEFAULT_THRESHOLDS,
     BadParams,
     GridFunction,
-    Interval,
     SCENARIO_KINDS,
     Scenario,
     ScenarioInvalid,
@@ -22,13 +23,11 @@ from lacvar import (
     emit_report,
     from_config,
     make_family,
-    parse_sequence,
     run_scenario,
     superlevel_measure,
     weak_sup,
 )
-from lacvar import avgops, harness
-from lacvar.harness import _atom_zones
+from lacvar import avgops, harness, runners
 
 
 # ----------------------------------------------------------- configuration
@@ -190,7 +189,7 @@ def test_from_config_rejects_unknown_fields():
     from_config({"kind": "h1_l1", "k_max": 20, "options": {"scale_exps": [6]}})
     from_config({"kind": "indicator_identity", "options": {"i_range": [2, 2]}})
     from_config({"kind": "dr_condition", "options": {"i_range": [2, 3]}})
-    assert set(harness.OPTION_CHECKS) == {key for kind in harness.KINDS.values() for key in kind.options}
+    assert set(harness.OPTION_CHECKS) == {key for kind in runners.KINDS.values() for key in kind.options}
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
 
@@ -217,6 +216,21 @@ def test_scenario_validation_rules():
         from_config({"kind": "strong_pp", "p": 0.5})
     with pytest.raises(ScenarioInvalid):
         from_config({"kind": "strong_pp", "s": 0.5})
+
+
+@pytest.mark.parametrize("min_len", [1e-9, 1e-300])
+def test_weighted_pp_refuses_an_ap_family_too_large_to_build(min_len):
+    # at 1e-9 the finest level alone has 2^31 candidates per shift, 16 GiB of
+    # int64; capping the address space 1 GiB above its size now turns a family
+    # that is built anyway into a MemoryError, not an exhausted machine
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE") + 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        with pytest.raises(ScenarioInvalid, match=r"options\.ap_min_len: min_len .* needs more than 4194304 intervals"):
+            from_config({"kind": "weighted_pp", "options": {"ap_min_len": min_len}})
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 NEEDS_P = ("strong_pp", "l2_multiplier", "weighted_pp", "vector_valued")
@@ -274,30 +288,6 @@ def test_weak_sup_dominates_lambda_scan(vals):
     assert exact >= scan - 1e-12
     assert exact <= max(vals) * 0.125 * len(vals) + 1e-12
 
-
-# ------------------------------------------------------------- atom zones
-
-
-def test_atom_zones_cover_translates():
-    seq = parse_sequence("geometric:1:2:5")
-    I = Interval(0.0, 0.5)
-    zones = _atom_zones(I, seq, 4)
-    for lo, hi in zones:
-        assert hi > lo
-    # zones are disjoint and ascending
-    for (a, b), (c, d) in zip(zones, zones[1:]):
-        assert c > b
-    # every translate endpoint is inside some zone
-    for nk in (0.0,) + seq.scales[:5]:
-        assert any(lo <= I.lo + nk and I.hi + nk <= hi for lo, hi in zones)
-
-
-def test_atom_zones_merge_overlaps():
-    seq = parse_sequence("geometric:1:2:5")
-    zones = _atom_zones(Interval(0.0, 3.0), seq, 4)
-    # interval longer than the first scales: everything up front merges
-    assert zones[0][0] == 0.0
-    assert zones[0][1] >= 7.0
 
 
 # ----------------------------------------------------------------- reports
@@ -382,65 +372,6 @@ def test_vector_valued_computes_each_variation_once(monkeypatch):
     assert len(grids) == len({id(g) for g in grids}) == 2
     assert sorted(rows.values()) == [1] * (2 * 2)
 
-
-def test_h1_l1_draws_each_atom_once(monkeypatch):
-    # one seeded draw per atom, dilated to every scale, not one per scale
-    draws = collections.Counter()
-    original = harness.atom_pattern
-
-    def counting(seed, cells):
-        draws[seed] += 1
-        return original(seed, cells)
-
-    monkeypatch.setattr(harness, "atom_pattern", counting)
-    sc = from_config({"kind": "h1_l1", "seed": 4, "options": {"scale_exps": [-1, 0, 2], "atoms_per_scale": 3}})
-    rep = run_scenario(sc)
-    assert len(rep.cases) == 3 * 3
-    assert draws == {4: 1, 5: 1, 6: 1}
-
-
-@pytest.mark.parametrize("config, grids", [
-    ({"kind": "l2_multiplier", "options": {"eval_cells": 4096}}, 2),
-    ({"kind": "weak_11"}, 6),
-])
-def test_family_cases_build_each_grid_pair_once(monkeypatch, config, grids):
-    # l2_multiplier's 100 random steps share one grid, so one pair of eval
-    # grids, and one family call per grid, serves them all; the three
-    # spikes of weak_11 each have their own grid and pair
-    seen, calls = [], []
-    original = harness.variations
-
-    def recording(fs, seq, spec, eval_grid):
-        calls.append(eval_grid)  # held, so no two grids share an id
-        for v in original(fs, seq, spec, eval_grid):
-            seen.append(eval_grid)
-            yield v
-
-    monkeypatch.setattr(harness, "variations", recording)
-    rep = run_scenario(from_config(config))
-    assert len(seen) == 2 * len(rep.cases)
-    assert len({id(g) for g in seen}) == len(calls) == grids
-
-
-@pytest.mark.parametrize("kind", ["weak_11", "strong_pp", "weighted_pp"])
-def test_family_cases_sample_each_member_as_variations_at_does(kind):
-    # weak_11's spikes each have their own grid (runs of one member);
-    # strong_pp folds its 20 members in one group, weighted_pp in groups of
-    # 2.  Each member's two samples must have the bits of the point route
-    # at the same grids' midpoints, one member at a time, in member order
-    inp = harness._parse(from_config({"kind": kind, "seed": 5}))
-    got = []
-
-    def digest(v):
-        got.append((v.x0, v.h, v.n, hashlib.sha256(v.values.tobytes()).hexdigest()))
-        return 1.0
-
-    harness._family_cases(inp, digest, lambda f: 1.0)
-    want = [
-        (g.x0, g.h, g.n, hashlib.sha256(avgops.variations_at([f], inp.seq, inp.spec, g.midpoints)[0].tobytes()).hexdigest())
-        for f in inp.fams for g in harness._grids_for(f, inp)
-    ]
-    assert got == want
 
 
 def test_weak_11_memory_peak_holds_one_grid_pair():

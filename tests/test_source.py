@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import tokenize
 from pathlib import Path
 
@@ -32,3 +34,19 @@ def test_module_under_parser_token_cliff(path):
         "from source doubles the parser's token array, about +0.6 MB of peak_rss_mb "
         "on every benchmark workload; split the module or trim it"
     )
+
+
+def sibling_imports(path: Path) -> set[str]:
+    """The lacvar modules that path imports by `from .x import ...`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_modules_import_without_a_cycle():
+    graph = {path.stem: sibling_imports(path) for path in MODULES}
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"lacvar modules import in a cycle: {' -> '.join(exc.args[1])}")
+    # the scenario layers import one way: cases <- runners <- harness <- cli
+    assert "cases" in graph["runners"] and "runners" in graph["harness"] and "harness" in graph["cli"]
