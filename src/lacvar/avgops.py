@@ -28,8 +28,9 @@ and `variation` one function.  A grid's midpoints are ascending by
 construction, so the order check is skipped, and they are cut into runs
 once: a folded point, or a flat stretch's first point with the points
 that copy it.  Each member is folded only at the runs' first points, its
-representatives, and expanded to the grid by np.repeat over the run
-lengths when it is reached.  The members are folded several per call, in
+representatives, and handed out on the runs as a RunFunction, which
+lp_norm sums without expanding it; `variation` and `vector_variation`
+expand theirs to every midpoint.  The members are folded several per call, in
 groups of about grid.n // representatives, so a group's representatives
 never take more than one array over the grid; on a grid with no flat
 stretch that is one member.
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction, GridMismatch, UniformGrid, require_same_grid
+from .runs import GridRuns, RunFunction
 from .lacunary import LacunarySeq
 
 # Points per fold batch, over the number of functions folded together: the
@@ -512,12 +514,12 @@ def variation(
 ) -> GridFunction:
     """V_s f sampled at eval-grid midpoints (default grid: support + right pad).
 
-    The one-member case of variations.
+    The one-member case of variations, expanded to every midpoint.
     """
     spec.check_seq(seq)
     if eval_grid is None:
         eval_grid = default_eval_grid(f, seq, spec.k_max)
-    return next(variations([f], seq, spec, eval_grid))
+    return next(variations([f], seq, spec, eval_grid)).on_grid()
 
 
 def _representatives(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, grid: UniformGrid):
@@ -556,30 +558,24 @@ def _representatives(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSp
     return counts, rows()
 
 
-def _on_grid(row: np.ndarray, counts: np.ndarray, grid: UniformGrid) -> GridFunction:
-    """The values at every midpoint of grid from those at its run
-    representatives, handed to GridFunction read-only, without a copy."""
-    vals = np.repeat(row, counts) if counts.size < grid.n else row
-    vals.setflags(write=False)
-    return GridFunction(grid.x0, grid.h, vals)
-
-
 def variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, eval_grid: UniformGrid):
     """V_s f for each f of fs sampled at eval_grid's midpoints: an iterator
-    of one GridFunction per f, in order.
+    of one RunFunction per f, in order, on one GridRuns of the grid.
 
     The functions must share one grid; that and the sequence's length are
     checked here, before anything is folded.  V_s f is folded only at the
     run representatives (see _representatives), several members per
-    kernel call, and each member's samples are expanded from them as the
-    iterator reaches it, so beyond the member in hand only one group's
-    representatives are held.  The bits are those of variations_at([f],
-    seq, spec, eval_grid.midpoints), and with spec.enforce_tail each
-    member is held to the tail gate as it is reached.
+    kernel call, so beyond the member in hand only one group's
+    representatives are held.  A member's on_grid() has the bits of
+    variations_at([f], seq, spec, eval_grid.midpoints), and with
+    spec.enforce_tail each member is held to the tail gate as it is
+    reached.  The members share their GridRuns, so lp_norm builds its sum
+    plan once for all of them.
     """
     _check_family(fs, seq, spec)
     counts, rows = _representatives(fs, seq, spec, eval_grid)
-    return (_on_grid(row, counts, eval_grid) for row in rows)
+    runs = GridRuns(eval_grid, counts)
+    return (RunFunction(runs, row) for row in rows)
 
 
 def vector_variations(
@@ -588,15 +584,16 @@ def vector_variations(
     spec: VariationSpec,
     rhos: tuple[float, ...],
     eval_grid: UniformGrid | None = None,
-) -> list[GridFunction]:
-    """Pointwise ell^rho aggregates (sum_j (V_s f_j)^rho)^(1/rho), one per rho.
+) -> list[RunFunction]:
+    """Pointwise ell^rho aggregates (sum_j (V_s f_j)^rho)^(1/rho), one
+    RunFunction per rho, on one GridRuns of the eval grid.
 
     Each V_s f_j is computed once, at the run representatives of the
     grid's midpoints (see _representatives), and folded into every rho's
-    sum there, _CHUNK points at a time through scratch copies; each
-    aggregate is expanded to the whole grid once.  So the sums take
-    2 len(rhos) arrays of the representatives' size, and beyond them one
-    group of representatives and O(_CHUNK) scratch are held.
+    sum there, _CHUNK points at a time through scratch copies.  So the sums
+    take 2 len(rhos) arrays of the representatives' size, and beyond them
+    one group of representatives and O(_CHUNK) scratch are held; nothing
+    is expanded to the grid.
     """
     for rho in rhos:
         if not rho > 1.0:
@@ -614,12 +611,13 @@ def vector_variations(
             for rho, (acc, comp) in zip(rhos, sums):
                 np.copyto(term[:n], v[lo : lo + n])
                 _fold_power(acc[lo : lo + n], comp[lo : lo + n], term[:n], rho, big[:n])
-    out = []
+    runs, out = GridRuns(eval_grid, counts), []
     for rho in rhos:
         acc, comp = sums.pop(0)  # each sum is freed once its result is made
         acc += comp
         acc **= 1.0 / rho
-        out.append(_on_grid(acc, counts, eval_grid))
+        acc.setflags(write=False)
+        out.append(RunFunction(runs, acc))
     return out
 
 
@@ -630,5 +628,5 @@ def vector_variation(
     rho: float,
     eval_grid: UniformGrid | None = None,
 ) -> GridFunction:
-    """Pointwise ell^rho aggregate (sum_j (V_s f_j)^rho)^(1/rho)."""
-    return vector_variations(fs, seq, spec, (rho,), eval_grid)[0]
+    """Pointwise ell^rho aggregate (sum_j (V_s f_j)^rho)^(1/rho) at every midpoint."""
+    return vector_variations(fs, seq, spec, (rho,), eval_grid)[0].on_grid()

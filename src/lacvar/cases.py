@@ -55,6 +55,7 @@ def _stability(cases: list[CaseResult], threshold: float) -> tuple[dict, list[Ch
 
 
 def _spread_check(name: str, values: list[float], threshold: float, **detail) -> Check:
-    """(max - min) / min of values, at most threshold."""
-    spread = (max(values) - min(values)) / min(values)
-    return Check(name, spread <= threshold, {"spread": spread, "threshold": threshold, **detail})
+    """(max - min) / min of values, at most threshold; a min of 0 fails, with spread None."""
+    low = min(values)
+    spread = (max(values) - low) / low if low else None
+    return Check(name, spread is not None and spread <= threshold, {"spread": spread, "threshold": threshold, **detail})

@@ -95,14 +95,11 @@ def fprime(r):
 
 # Bytes of complex F values per block of the multiplier scan.  A scan that
 # fits, such as l2_multiplier's 13 scales on the 8,193 magnitudes of its
-# 16,385 frequencies (1.63 MiB), runs as one block.  Blocks of 512 rows made
-# the variation passes that follow such a scan about 30% slower: glibc
-# malloc raises its mmap and heap-trim thresholds only when a large mmapped
-# block is freed, and without that every family member's ~3 MiB of arrays
-# was trimmed from the heap and faulted back in (73.7k minor faults per
-# l2_multiplier run, not 1-2k).  The 1.63 MiB block lifts the trim
-# threshold to about 3.3 MiB, enough now that lp_norm makes no whole-array
-# temporary.
+# 16,385 frequencies (1.63 MiB), runs as one block.  The variation passes
+# after a scan do not need this size to lift glibc's heap-trim threshold
+# (it rises only when a large mmapped block is freed): V_s f stays on its
+# runs, and with 112 KiB blocks a later l2_multiplier pass took about 250
+# minor faults, with this size about 1.5k.
 _BLOCK_BYTES = 4 << 20
 
 

@@ -4,6 +4,9 @@ Everything downstream works with functions that are constant on the cells of
 a uniform grid and identically zero outside it.  That makes averages, Lp
 norms and superlevel measures exact finite sums, so the test oracles can be
 exact too.
+
+lp_norm also takes the run-length form of `runs`, summed on its runs with
+the bits of the sum over every cell; everything else here reads cells.
 """
 
 from __future__ import annotations
@@ -65,6 +68,17 @@ class UniformGrid:
         return self.x0 + self.h * self.n
 
 
+def _read_only(v) -> np.ndarray:
+    """v as a read-only float64 array: a read-only float64 array whose owner
+    is read-only too is taken over as it is, without a copy; anything else
+    is copied."""
+    owner = v if getattr(v, "base", None) is None else v.base
+    if not (isinstance(owner, np.ndarray) and not owner.flags.writeable and v.dtype == np.float64):
+        v = np.array(v, dtype=np.float64)
+        v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Right-open step function: values[i] on [x0 + i*h, x0 + (i+1)*h), 0 outside."""
@@ -74,13 +88,7 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # a read-only float64 array whose owner is read-only too is taken
-        # over as it is, without a copy; anything else is copied
-        v = self.values
-        owner = v if getattr(v, "base", None) is None else v.base
-        if not (isinstance(owner, np.ndarray) and not owner.flags.writeable and v.dtype == np.float64):
-            v = np.array(v, dtype=np.float64)
-            v.setflags(write=False)
+        v = _read_only(self.values)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.all(np.isfinite(v)):
@@ -170,50 +178,31 @@ def _weight_cells(f: GridFunction, w) -> np.ndarray | None:
     return arr
 
 
-# Most cells of lp_norm made at a time; at least 128, the block that numpy
-# sums without cutting it.  A whole-array temporary is 1 MiB on a
-# 131,072-point eval grid; once freed, glibc may trim it from the heap and
-# the next call faults it back in.
-_SUM_LEAF = 1 << 14
-
-
-def _pairwise_sum(a: int, b: int, leaf):
-    """The sum over [a, b) of the cells that leaf(lo, hi) sums by np.sum,
-    with the bits of one np.sum over all of them.
-
-    numpy sums a contiguous float64 array pairwise: past 128 values it adds
-    the sums of the two halves, the first cut to a multiple of 8.  Cutting
-    at the same points down to leaves of at most _SUM_LEAF >= 128 cells
-    gives the same additions in the same order.
-    """
-    n = b - a
-    if n <= _SUM_LEAF:
-        return leaf(a, b)
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(a, a + half, leaf) + _pairwise_sum(a + half, b, leaf)
-
-
-def lp_norm(f: GridFunction, p: float, w=None) -> float:
-    """||f||_p, optionally against a weight sampled on the same grid.
+def lp_norm(f, p: float, w=None) -> float:
+    """||f||_p of a GridFunction or a runs.RunFunction, optionally against
+    a weight sampled on the same grid.
 
     The weight may be a GridFunction sharing f's grid or a bare per-cell
     array; sums are exact for the step functions involved.  The cells
-    |f|^p h (times the weight) are made and summed _SUM_LEAF at a time,
-    with the bits of one np.sum over all of them.
+    |f|^p h (times the weight) are summed by np.sum.  A RunFunction's are
+    summed on its runs when unweighted (GridRuns.sum, with the same bits),
+    and on its expansion when weighted.
     """
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p!r}")
+    if not isinstance(f, GridFunction):
+        if w is None:
+            if np.isinf(p):
+                return float(np.max(np.abs(f.run_values)))
+            return float(f.runs.sum(np.abs(f.run_values) ** p * f.grid.h) ** (1.0 / p))
+        f = f.on_grid()
     wc = _weight_cells(f, w)
     if np.isinf(p):
         return sup_norm(f)
-
-    def cells(a: int, b: int):
-        cell = np.abs(f.values[a:b]) ** p * f.h
-        if wc is not None:
-            cell = cell * wc[a:b]
-        return np.sum(cell)
-
-    return float(_pairwise_sum(0, f.n, cells) ** (1.0 / p))
+    cells = np.abs(f.values) ** p * f.h
+    if wc is not None:
+        cells *= wc
+    return float(np.sum(cells) ** (1.0 / p))
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -290,6 +279,39 @@ class IntervalFamily:
 _MAX_INTERVALS = 1 << 22
 
 
+def _dyadic_lattices(domain: Interval, min_len: float, margin: float, shifts: tuple[float, ...]):
+    """The padded domain's ends and make_dyadic_family's lattices (length,
+    offset, j0, j1), counted in Python ints, so that a family refused for
+    passing _MAX_INTERVALS candidates makes no array."""
+    lo, hi = domain.lo - margin, domain.hi + margin
+    if not min_len > 0.0:
+        raise ValueError("min_len must be positive")
+    m_top = int(np.floor(np.log2(hi - lo) + 1e-12))
+    m_bot = int(np.ceil(np.log2(min_len) - 1e-12))
+    if m_top < m_bot:
+        raise EmptyFamily("no dyadic level fits between min_len and the domain length")
+    lattices, total = [], 0
+    for m in range(m_top, m_bot - 1, -1):
+        ln = 2.0**m
+        for frac in shifts:
+            off = frac * ln
+            j0 = int(np.floor((lo - off) / ln))
+            j1 = int(np.ceil((hi - off) / ln))
+            total += j1 - j0 + 1
+            if total > _MAX_INTERVALS:
+                raise ValueError(f"min_len {min_len!r} needs more than {_MAX_INTERVALS} intervals on a length of {hi - lo!r}")
+            lattices.append((ln, off, j0, j1))
+    return lo, hi, lattices
+
+
+def dyadic_family_size(domain: Interval, min_len: float, *, margin: float = 0.0,
+                       shifts: tuple[float, ...] = (0.0,), inside_only: bool = True) -> int:
+    """How many candidate intervals make_dyadic_family would build from the
+    same arguments (inside_only drops some of them afterwards), with its
+    errors, counted without making an array."""
+    return sum(j1 - j0 + 1 for _, _, j0, j1 in _dyadic_lattices(domain, min_len, margin, shifts)[2])
+
+
 def make_dyadic_family(
     domain: Interval,
     min_len: float,
@@ -307,25 +329,7 @@ def make_dyadic_family(
     interval's own length).  Intervals come level by level, shift by shift,
     in increasing j.  More than _MAX_INTERVALS candidates is a ValueError.
     """
-    lo, hi = domain.lo - margin, domain.hi + margin
-    if not min_len > 0.0:
-        raise ValueError("min_len must be positive")
-    m_top = int(np.floor(np.log2(hi - lo) + 1e-12))
-    m_bot = int(np.ceil(np.log2(min_len) - 1e-12))
-    if m_top < m_bot:
-        raise EmptyFamily("no dyadic level fits between min_len and the domain length")
-    # counted first, in Python ints, so that a refused family makes no array
-    lattices, total = [], 0
-    for m in range(m_top, m_bot - 1, -1):
-        ln = 2.0**m
-        for frac in shifts:
-            off = frac * ln
-            j0 = int(np.floor((lo - off) / ln))
-            j1 = int(np.ceil((hi - off) / ln))
-            total += j1 - j0 + 1
-            if total > _MAX_INTERVALS:
-                raise ValueError(f"min_len {min_len!r} needs more than {_MAX_INTERVALS} intervals on a length of {hi - lo!r}")
-            lattices.append((ln, off, j0, j1))
+    lo, hi, lattices = _dyadic_lattices(domain, min_len, margin, shifts)
     los, his = [], []
     for ln, off, j0, j1 in lattices:
         a = np.arange(j0, j1 + 1) * ln + off

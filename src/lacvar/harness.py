@@ -36,10 +36,10 @@ import numpy as np
 
 from .avgops import VariationSpec
 from .fourier import parse_xi_grid
-from .gridfn import GridFunction, Interval, UniformGrid, make_dyadic_family, make_family
+from .gridfn import GridFunction, Interval, UniformGrid, dyadic_family_size, make_dyadic_family, make_family
 from .gridfn import weak_sup  # unused here: perfbench times it as lacvar.harness.weak_sup
 from .lacunary import LacunarySeq, gamma, parse_sequence
-from .runners import KINDS
+from .runners import KINDS, _bmo_family, _grids_for
 from .weights import parse_weight, Weight, WeightSpec
 
 SCHEMA_VERSION = "lacvar-report/1"
@@ -244,9 +244,12 @@ def _parse(sc: Scenario) -> _Inputs:
     ):
         if key in opts and not ok(opts[key]):
             raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {sc.options[key]!r}")
+    inp = _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, None)
     # what the weighted kinds build from an option, the family and the weight:
     # A_p probe families at ap_min_len and half of it, and w^dual_r on one
-    # unit from the family's left end
+    # unit from the family's left end; and linf_bmo's dyadic families on
+    # each eval grid, counted without an array, so that one past the cap is
+    # refused here and not in the run
     probe, f0 = None, fams[0] if fams else None
     try:
         if sc.kind == "weighted_pp":
@@ -257,9 +260,14 @@ def _parse(sc: Scenario) -> _Inputs:
             w = weight.sample(UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))).fn
             with np.errstate(over="ignore"):
                 probe = Weight(GridFunction(w.x0, w.h, w.values**r), f"{weight.label}^{r:g}")
-    except ValueError as exc:  # EmptyFamily, a power that overflows or underflows to 0
+        if sc.kind == "linf_bmo":
+            key = "eval_h"
+            for f in {(f.x0, f.h, f.n): f for f in fams}.values():
+                for g in _grids_for(f, inp):
+                    _bmo_family(g, build=dyadic_family_size)
+    except ValueError as exc:  # EmptyFamily, too many intervals, a power that overflows or underflows to 0
         raise ScenarioInvalid(f"options.{key}: {exc}") from exc
-    return _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, probe)
+    return inp._replace(probe=probe)
 
 
 def default_scenario(kind: str) -> Scenario:

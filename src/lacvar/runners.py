@@ -29,7 +29,8 @@ def _grids_for(f: GridFunction, inp: _Inputs) -> list[UniformGrid]:
 def _family_cases(inp: _Inputs, lhs_of, rhs_of, grids_of=_grids_for) -> list[CaseResult]:
     """One case per member of the family: lhs_of(V_s f) against rhs_of(f).
 
-    V_s f is sampled on the first grid of grids_of(f, inp) for the case
+    V_s f comes as a RunFunction (lhs_of expands it if it needs every
+    cell), sampled on the first grid of grids_of(f, inp) for the case
     ratio and on the second (half the step) for `ratio_refined`.  grids_of
     may read only f's grid (x0, h, n): a run of consecutive members on one
     grid shares one pair and one `variations` call per grid, which folds
@@ -56,7 +57,7 @@ def _run_strong_pp(sc, inp):
 
 
 def _run_weak_11(sc, inp):
-    cases = _family_cases(inp, weak_sup, lambda f: lp_norm(f, 1.0))
+    cases = _family_cases(inp, lambda v: weak_sup(v.on_grid()), lambda f: lp_norm(f, 1.0))
     stab, checks = _stability(cases, inp.th["stability"])
     checks.append(_spread_check("family_spread", [c.ratio for c in cases], inp.th["family_spread"]))
     return _Outcome(cases, checks, stab["base"], stab)
@@ -95,7 +96,7 @@ def _run_weighted_weak11(sc, inp):
     wspec = inp.weight
     cases = _family_cases(
         inp,
-        lambda v: weak_sup(v, wspec.sample(v.grid).fn.values),
+        lambda v: weak_sup(v.on_grid(), wspec.sample(v.grid).fn.values),
         lambda f: lp_norm(f, 1.0, wspec.sample(f.grid).fn),
     )
     stab, checks = _stability(cases, inp.th["stability_weighted"])
@@ -109,10 +110,17 @@ def _run_weighted_weak11(sc, inp):
     return _Outcome(cases, checks, stab["base"], stab, constants)
 
 
+def _bmo_family(g: UniformGrid, build=make_dyadic_family):
+    """linf_bmo's dyadic family on the eval grid g: every level from the
+    grid's own step up, over the grid's span padded by its length each
+    side.  build=dyadic_family_size counts it instead, without an array."""
+    domain = Interval(g.x0, g.x1)
+    return build(domain, g.h, margin=domain.length, inside_only=False)
+
+
 def _run_linf_bmo(sc, inp):
-    def bmo_of(v: GridFunction) -> float:
-        domain = Interval(v.x0, v.x1)
-        return bmo_norm(v, make_dyadic_family(domain, v.h, margin=domain.length, inside_only=False))
+    def bmo_of(v) -> float:
+        return bmo_norm(v.on_grid(), _bmo_family(v.grid))
 
     cases = _family_cases(inp, bmo_of, sup_norm)
     stab, checks = _stability(cases, inp.th["stability_bmo"])
@@ -215,9 +223,11 @@ def _run_vector_valued(sc, inp):
     f0 = fams[0]
     grids = _grids_for(f0, inp)
     # V_s f does not depend on rho: one kernel call per member and grid.
-    # The refined call runs first and keeps only its norms, so no base
-    # aggregate is held through its sums, the pass's largest arrays; its
-    # grid, with the cached midpoints, is dropped once the call is done
+    # The refined call runs first and keeps only its norms; its grid, with
+    # the cached midpoints, is dropped once the call is done.  The
+    # aggregates stay on their runs: lp_norm sums them there, and the
+    # monotonicity gap reads the run values, which hold every value of the
+    # grid's samples
     fine = [lp_norm(vv, p) for vv in vector_variations(fams, seq, spec, rhos, grids.pop())]
     aggs = dict(zip(rhos, vector_variations(fams, seq, spec, rhos, grids[0])))
     cases = []
@@ -230,9 +240,9 @@ def _run_vector_valued(sc, inp):
     mono_ok = True
     worst_gap = 0.0
     for lo, hi in zip(rhos, rhos[1:]):
-        gap = float(np.max(aggs[hi].values - aggs[lo].values))
+        gap = float(np.max(aggs[hi].run_values - aggs[lo].run_values))
         worst_gap = max(worst_gap, gap)
-        scale_ref = max(1.0, float(np.max(aggs[lo].values)))
+        scale_ref = max(1.0, float(np.max(aggs[lo].run_values)))
         if gap > slack * scale_ref:
             mono_ok = False
     stab, (finite, stable) = _stability(cases, inp.th["stability"])

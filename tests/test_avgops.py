@@ -28,6 +28,7 @@ from lacvar import (
 )
 from lacvar import avgops, make_family
 from lacvar.gridfn import GridMismatch
+from lacvar.runs import RunFunction
 from lacvar.avgops import _fold_power, l1_norm, vector_variations
 
 
@@ -469,7 +470,7 @@ def test_vector_variation_matches_stacked_route_exactly(seed, chunk):
         alone = [vector_variation(fs, seq, spec, rho, grid) for rho in rhos]
     for rho, got, one in zip(rhos, together, alone):
         want = _old_compensated_power_sum(parts, rho) ** (1.0 / rho)
-        assert got.values.tobytes() == want.tobytes() == one.values.tobytes()
+        assert got.on_grid().values.tobytes() == want.tobytes() == one.values.tobytes()
 
 
 def test_vector_variations_hold_one_member_array_at_a_time():
@@ -710,21 +711,22 @@ def test_variation_hands_its_result_over_without_a_copy():
 
 
 def test_vector_variations_hand_their_results_over_read_only(monkeypatch):
-    # each aggregate reaches GridFunction read-only and is kept as it is
+    # each aggregate reaches RunFunction read-only and is kept as it is
     handed = []
 
-    def recording(x0, h, values):
+    def recording(runs, values):
         handed.append(values)
-        return GridFunction(x0, h, values)
+        return RunFunction(runs, values)
 
-    monkeypatch.setattr(avgops, "GridFunction", recording)
+    monkeypatch.setattr(avgops, "RunFunction", recording)
     rng = np.random.default_rng(0)
     fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8)) for _ in range(3)]
     aggs = vector_variations(fs, parse_sequence("geometric:0.25:2:6"), _spec(k_max=5), (1.5, 2.0))
     assert len(handed) == len(aggs) == 2
+    assert aggs[0].runs is aggs[1].runs
     for agg, values in zip(aggs, handed):
         assert not values.flags.writeable
-        assert agg.values is values
+        assert agg.run_values is values
 
 
 @given(
@@ -863,7 +865,9 @@ def test_variations_match_one_member_calls_exactly(monkeypatch):
         got = list(variations(fs, seq, spec, grid))
         sizes = [min(size, len(fs) - lo) for lo in range(0, len(fs), size)]
         assert columns == sizes  # the representatives fit one batch here
+        assert all(v.runs is got[0].runs and v.grid is grid for v in got)
         for f, v in zip(fs, got):
+            v = v.on_grid()
             assert (v.x0, v.h, v.n) == (grid.x0, grid.h, grid.n)
             want = variations_at([f], seq, spec, x)[0]
             assert v.values.tobytes() == want.tobytes()
@@ -901,7 +905,7 @@ def test_representatives_repeat_to_the_midpoint_samples(seed, s, count, chunk):
     assert len(rows) == len(got) == count
     for row, v, w in zip(rows, got, want):
         assert row.size == counts.size
-        assert np.repeat(row, counts).tobytes() == w.tobytes() == v.values.tobytes()
+        assert np.repeat(row, counts).tobytes() == w.tobytes() == v.on_grid().values.tobytes()
 
 
 def test_variations_hold_each_member_to_the_tail_gate():
@@ -917,7 +921,7 @@ def test_variations_hold_each_member_to_the_tail_gate():
     with pytest.raises(TailTooLarge) as alone:
         variation(f, seq, tight, grid)
     members = variations([zero, f, zero], seq, tight, grid)
-    assert not np.any(next(members).values)
+    assert not np.any(next(members).run_values)
     with pytest.raises(TailTooLarge) as family:
         next(members)
     with pytest.raises(TailTooLarge) as aggregate:

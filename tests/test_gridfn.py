@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lacvar import gridfn
+from lacvar import gridfn, runs
 from lacvar.gridfn import atom_pattern, dilate_atom
 from lacvar import (
     Atom,
@@ -126,31 +126,101 @@ def _assert_lp_norm_is_oracle(values, weights):
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.n, p)
 
 
-_LEAF = gridfn._SUM_LEAF
+_LEAF = 1 << 14
 
 
 @pytest.mark.parametrize(
     "n", [1, 7, 8, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 8, 3 * _LEAF + 5, 131200, 300007]
 )
 def test_lp_norm_keeps_the_bits_of_one_whole_array_sum(n):
-    # the leaves are cut where numpy's pairwise sum cuts, so the sum has the
-    # bits of np.sum over the whole cell array, at every size and exponent
+    # the sum has the bits of np.sum over the whole cell array, at every
+    # size and exponent, and so does the sum of the same cells on runs of
+    # 1 to 300 of them, to grids past the sizes of the hypothesis test below
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
     _assert_lp_norm_is_oracle(values, rng.uniform(0.1, 5.0, n))
+    counts = _run_lengths(n, "short runs", rng)
+    f = runs.RunFunction(runs.GridRuns(UniformGrid(-0.5, 1.0 / 64, n), counts), values[: counts.size])
+    for p in (1.0, 2.0, 7.25):
+        want = _whole_array_lp_norm(f.on_grid(), p)
+        assert np.float64(lp_norm(f, p)).tobytes() == np.float64(want).tobytes(), (n, p)
 
 
-@given(st.integers(128, 400), st.integers(1, 3000), st.integers(0, 2**32 - 1))
-def test_lp_norm_any_leaf_size(leaf, n, seed):
-    # any leaf from numpy's 128-value block up cuts at numpy's own points
+def _run_lengths(n: int, layout: str, rng) -> np.ndarray:
+    """Run lengths that tile n cells: all one cell, one run, short runs of
+    1 to 300 cells, or V_s f's shape, a stretch of single cells between
+    long flat runs."""
+    if layout == "singletons":
+        return np.ones(n, dtype=np.intp)
+    if layout == "one run":
+        return np.array([n])
+    if layout == "short runs":
+        ends = np.cumsum(rng.integers(1, 301, size=n))
+        return np.diff([0, *ends[ends < n].tolist(), n])
+    cuts = set(rng.integers(1, n, size=int(rng.integers(0, 40))).tolist()) if n > 1 else set()
+    lo = int(rng.integers(0, n))
+    cuts |= set(range(lo, min(n, lo + int(rng.integers(0, 3000)))))  # the folded stretch
+    return np.diff([0, *sorted(cuts - {0}), n])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 2**15)),
+    st.sampled_from(["singletons", "one run", "short runs", "mixed"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(5, "mixed", 0)
+@example(128, "one run", 1)
+@example(129, "mixed", 2)
+@example(1000, "singletons", 3)
+@example(2**15, "mixed", 4)
+@example(2**15 - 3, "one run", 5)
+@example(5000, "short runs", 6)
+def test_run_lp_norm_keeps_the_bits_of_the_expansion(n, layout, seed):
+    # the sum on the runs follows numpy's pairwise tree, so it has the bits
+    # of lp_norm over the np.repeat expansion and of one np.sum over the
+    # whole cell array: a numpy whose pairwise rule moves fails here.  The
+    # plan is also held to np.sum alone, where GridRuns would not use it
+    # (one cell per run)
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
-    old = gridfn._SUM_LEAF
-    gridfn._SUM_LEAF = leaf
-    try:
-        _assert_lp_norm_is_oracle(values, rng.uniform(0.0, 1e3, n))
-    finally:
-        gridfn._SUM_LEAF = old
+    counts = _run_lengths(n, layout, rng)
+    assert counts.sum() == n and counts.min() >= 1
+    on = runs.GridRuns(UniformGrid(-0.5, float(rng.uniform(1e-3, 2.0)), n), counts)
+    vals = rng.standard_normal(counts.size) * 10.0 ** rng.uniform(-3.0, 3.0, counts.size)
+    vals[rng.random(counts.size) < 0.05] = 0.0
+    f = runs.RunFunction(on, vals)
+    cells = f.on_grid()
+    assert np.repeat(vals, counts).tobytes() == cells.values.tobytes()
+    for p in (1.0, 2.0, 2.5, 7.0):
+        got = np.float64(lp_norm(f, p)).tobytes()
+        assert got == np.float64(lp_norm(cells, p)).tobytes() == np.float64(_whole_array_lp_norm(cells, p)).tobytes()
+        cell = np.abs(vals) ** p * on.grid.h
+        assert runs._SumPlan(counts).sum(cell).tobytes() == np.sum(np.repeat(cell, counts)).tobytes()
+    assert lp_norm(f, math.inf) == sup_norm(cells)
+
+
+def test_run_function_expands_read_only_without_a_copy():
+    grid = UniformGrid(0.0, 0.5, 4)
+    with pytest.raises(ValueError, match="tile"):
+        runs.GridRuns(grid, [2, 1])
+    with pytest.raises(ValueError, match="tile"):
+        runs.GridRuns(grid, [0, 4])
+    on = runs.GridRuns(grid, [1, 3])
+    with pytest.raises(ValueError, match="one value per run"):
+        runs.RunFunction(on, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):  # as GridFunction refuses them
+        runs.RunFunction(on, [1.0, np.nan])
+    f = runs.RunFunction(on, [1.0, -2.0])
+    assert not f.run_values.flags.writeable and not on.counts.flags.writeable
+    g = f.on_grid()
+    assert (g.x0, g.h, g.n) == (0.0, 0.5, 4) and g.values.tolist() == [1.0, -2.0, -2.0, -2.0]
+    assert not g.values.flags.writeable
+    # with one cell per run the run values are the grid's, handed over as they are
+    one = runs.RunFunction(runs.GridRuns(grid, np.ones(4)), np.arange(4.0))
+    assert one.on_grid().values is one.run_values
+    # a weight needs every cell: the weighted norm is taken on the expansion
+    w = GridFunction(0.0, 0.5, [1.0, 2.0, 0.5, 4.0])
+    assert lp_norm(f, 2.0, w) == lp_norm(g, 2.0, w)
 
 
 def test_lp_norm_weight_grid_mismatch():

@@ -27,7 +27,8 @@ from lacvar import (
     superlevel_measure,
     weak_sup,
 )
-from lacvar import avgops, harness, runners
+from lacvar import Interval, avgops, gridfn, harness, runners
+from lacvar.cases import _spread_check
 
 
 # ----------------------------------------------------------- configuration
@@ -231,6 +232,54 @@ def test_weighted_pp_refuses_an_ap_family_too_large_to_build(min_len):
             from_config({"kind": "weighted_pp", "options": {"ap_min_len": min_len}})
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_linf_bmo_refuses_a_bmo_family_too_large_to_build():
+    # at eval_h 1e-5 the refined grid's family needs more than 2^22
+    # intervals: the run used to fail on it after about 1.25 s and 340 MB.
+    # It is now counted in from_config, without an array (the family alone
+    # would be 64 MiB of endpoints)
+    cfg = {"kind": "linf_bmo", "options": {"eval_h": 1e-5}, "family": {"count": 1}}
+    from_config({**cfg, "options": {}})  # the member's grid and tables, made outside the traced call
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioInvalid, match=r"options\.eval_h: min_len 5e-06 needs more than 4194304 intervals"):
+            from_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+
+def test_linf_bmo_counts_the_families_its_run_builds(monkeypatch):
+    # the refusal counts what the run builds: with the cap at the refined
+    # grid's count the defaults pass, and one below it they are refused
+    inp = harness._parse(from_config({"kind": "linf_bmo"}))
+    sizes = [gridfn.dyadic_family_size(Interval(g.x0, g.x1), g.h, margin=g.x1 - g.x0)
+             for g in runners._grids_for(inp.fams[0], inp)]
+    assert sizes[0] < sizes[1]
+    monkeypatch.setattr(gridfn, "_MAX_INTERVALS", sizes[1])
+    run_scenario(from_config({"kind": "linf_bmo", "family": {"count": 1}}))
+    monkeypatch.setattr(gridfn, "_MAX_INTERVALS", sizes[1] - 1)
+    with pytest.raises(ScenarioInvalid, match=r"options\.eval_h"):
+        from_config({"kind": "linf_bmo"})
+
+
+def test_spread_check_fails_on_a_zero_min():
+    # (max - min) / min has no value at min 0: the check fails with spread
+    # None (null in the report) instead of raising ZeroDivisionError
+    for values in ([0.0, 1.0], [0.0, 0.0]):
+        check = _spread_check("s", values, 0.1, extra=1)
+        assert not check.passed
+        assert check.detail == {"spread": None, "threshold": 0.1, "extra": 1}
+    assert _spread_check("s", [1.0, 1.05], 0.1).passed
+    assert not _spread_check("s", [1.0, 1.5], 0.1).passed
+    # at s = 1000 the atoms of the smallest scales give V_s f = 0
+    with np.errstate(all="ignore"):
+        rep = run_scenario(from_config({"kind": "h1_l1", "s": 1000, "options": {"scale_exps": [-5, 0]}}))
+    check = next(c for c in rep.checks if c.name == "scale_spread")
+    assert not check.passed and check.detail["spread"] is None
+    assert json.loads(emit_report(rep))["checks"][-1]["detail"]["spread"] is None
 
 
 NEEDS_P = ("strong_pp", "l2_multiplier", "weighted_pp", "vector_valued")

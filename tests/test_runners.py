@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from lacvar import Interval, from_config, parse_sequence, run_scenario
-from lacvar import avgops, harness, runners
+from lacvar import avgops, harness, runners, runs
 from lacvar.runners import _atom_zones
 
 
@@ -82,6 +82,7 @@ def test_family_cases_sample_each_member_as_variations_at_does(kind):
     got = []
 
     def digest(v):
+        v = v.on_grid()
         got.append((v.x0, v.h, v.n, hashlib.sha256(v.values.tobytes()).hexdigest()))
         return 1.0
 
@@ -91,3 +92,29 @@ def test_family_cases_sample_each_member_as_variations_at_does(kind):
         for f in inp.fams for g in runners._grids_for(f, inp)
     ]
     assert got == want
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "strong_pp", "family": {"count": 3}},
+    {"kind": "l2_multiplier", "family": {"count": 3}, "options": {"eval_cells": 4096}},
+    {"kind": "vector_valued", "family": {"count": 3}},
+])
+def test_norms_of_v_are_taken_on_the_runs(monkeypatch, config):
+    # every unweighted lp_norm of V_s f sums it on its runs, never expanded
+    # to the grid, and the members on one grid share one sum plan: one per
+    # grid of the pair
+    plans = []
+    original = runs._SumPlan
+
+    def counting(counts):
+        plans.append(int(counts.sum()))
+        return original(counts)
+
+    def expand(self):
+        raise AssertionError("V_s f was expanded to the grid")
+
+    monkeypatch.setattr(runs, "_SumPlan", counting)
+    monkeypatch.setattr(runs.RunFunction, "on_grid", expand)
+    rep = run_scenario(from_config(config))
+    assert len(rep.cases) == 3
+    assert len(plans) == len(set(plans)) == 2  # the base grid and the refined one
