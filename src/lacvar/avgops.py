@@ -19,9 +19,8 @@ points left to fold are packed into full batches, each folded by one call.
 stretches and batches are found once for all of them, and each step of the
 fold is one array operation over every row.  Their primitives come from one
 table per call, which a set of points reads by one binary search and a
-gather over every row, with np.interp's arithmetic; a single function keeps
-np.interp, which is cheaper for one column.  `variation_at` is the one-row
-case.
+gather over every row, with primitive_at's arithmetic; one function is the
+one-column table.  `variation_at` is the one-row case.
 
 `variations` and `vector_variations` sample a family on one eval grid,
 and `variation` one function.  A grid's midpoints are ascending by
@@ -33,7 +32,8 @@ lp_norm sums without expanding it; `variation` and `vector_variation`
 expand theirs to every midpoint.  The members are folded several per call, in
 groups of about grid.n // representatives, so a group's representatives
 never take more than one array over the grid; on a grid with no flat
-stretch that is one member.
+stretch that is one member.  Both routes fold through one generator,
+which packs each batch straight from the points given.
 """
 
 from __future__ import annotations
@@ -259,32 +259,15 @@ def _flat_stretches(x1: float, below: np.ndarray, above: np.ndarray) -> np.ndarr
     return np.array(bounds)
 
 
-class _Interp:
-    """The primitive of one function, by np.interp: for a single column one
-    call per point set is cheaper than any table."""
-
-    count = 1
-
-    def __init__(self, f: GridFunction):
-        self.f = f
-
-    def fill(self, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = S(v), one column per function; scratch is left alone."""
-        out[:, 0] = self.f.primitive_at(v)
-
-    def drop(self, upper: np.ndarray, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = upper - S(v); scratch is left alone."""
-        np.subtract(upper[:, 0], self.f.primitive_at(v), out=out[:, 0])
-
-
 class _Table:
-    """The primitives of several functions on one grid, as one table.
+    """The primitives of the functions on one grid, as one table with a
+    column per function; one function is the one-column case.
 
     Row j < n holds the edge e_j, each function's S(e_j) and its slope
     (S(e_{j+1}) - S(e_j)) / (e_{j+1} - e_j); row n holds e_n, S(e_n) and
     slope 0.  A point v, clipped to [e_0, e_n], finds its row j by one
     binary search over e_1..e_n and takes slope * (v - e_j) + S(e_j) in
-    every column at once.  For finite S that is np.interp's arithmetic: its
+    every column at once.  For finite S that is primitive_at's arithmetic: its
     slope, its sum, 0 left of the grid (slope * 0 + S(e_0) at e_0) and
     S(e_n) at or past the last edge.  Only the sign of a zero can differ,
     and the fold takes absolute values.
@@ -295,7 +278,8 @@ class _Table:
         self.edges, self.inner, self.lo, self.hi = edges, edges[1:], float(edges[0]), float(edges[-1])
         self.base = np.stack([f.primitive_table[1] for f in fs], axis=1)
         self.slope = np.zeros_like(self.base)
-        np.divide(np.diff(self.base, axis=0), np.diff(edges)[:, None], out=self.slope[:-1])
+        # np.diff's arithmetic without its call overhead, which one column notices
+        np.divide(self.base[1:] - self.base[:-1], (edges[1:] - edges[:-1])[:, None], out=self.slope[:-1])
         self.count = len(fs)
 
     def fill(self, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -310,21 +294,16 @@ class _Table:
         self.base.take(j, axis=0, out=scratch, mode="clip")
         out += scratch
 
-    def drop(self, upper: np.ndarray, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = upper - S(v); scratch, shaped like out, is overwritten."""
-        self.fill(v, out, scratch)
-        np.subtract(upper, out, out=out)
 
-
-def _fold(prims: _Interp | _Table, scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """V_s f at ascending x, one column per function of prims; zones L = x < below[k] and R = x >= above[k].
+def _fold(table: _Table, scales, s: float, x: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """V_s f at ascending x, one column per function of table; zones L = x < below[k] and R = x >= above[k].
 
     The buffers hold one row per point, so a prefix of points is one
     contiguous block for every op, whatever the number of functions.
     """
     ends_l = np.searchsorted(x, below).tolist()
     starts_r = np.searchsorted(x, above).tolist()
-    shape = (x.size, prims.count)
+    shape = (x.size, table.count)
     upper = np.empty(shape)
     shifted = np.empty_like(x)
     level = np.zeros(shape)
@@ -332,7 +311,7 @@ def _fold(prims: _Interp | _Table, scales, s: float, x: np.ndarray, below: np.nd
     acc = np.zeros(shape)
     comp = np.zeros(shape)
     big = np.empty(shape)
-    prims.fill(x, upper, big)
+    table.fill(x, upper, big)
     for k, (n, a, b) in enumerate(zip(scales, ends_l, starts_r)):
         if a:
             # (upper - 0.0) / n is upper / n bit for bit
@@ -341,7 +320,8 @@ def _fold(prims: _Interp | _Table, scales, s: float, x: np.ndarray, below: np.nd
             # upper - lower goes in big, which is scratch until the fold;
             # level is scratch here until the divide writes it
             np.subtract(x[a:b], n, out=shifted[a:b])
-            prims.drop(upper[a:b], shifted[a:b], big[a:b], level[a:b])
+            table.fill(shifted[a:b], big[a:b], level[a:b])
+            np.subtract(upper[a:b], big[a:b], out=big[a:b])
             np.divide(big[a:b], n, out=level[a:b])
         if k and b:
             # a point past b is in R here and at every smaller scale:
@@ -387,31 +367,16 @@ def _runs(f: GridFunction, below: np.ndarray, above: np.ndarray, x: np.ndarray):
     return [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b], copied
 
 
-def _primitives(fs: list[GridFunction]) -> _Interp | _Table:
-    return _Table(fs) if len(fs) > 1 else _Interp(fs[0])
+def _folded(fs: list[GridFunction], scales, s: float, x: np.ndarray, spans, below: np.ndarray, above: np.ndarray):
+    """V_s f for each f of fs at the points of ascending x in spans, in order.
 
-
-def _variation_sorted(fs: list[GridFunction], scales, s: float, x: np.ndarray) -> np.ndarray:
-    """V_s f at ascending x, one row per f, where NaN may only come last and gives NaN."""
-    vals = np.empty((len(fs), x.size), dtype=np.float64)
-    m = int(np.searchsorted(x, np.nan))
-    vals[:, m:] = np.nan
-    # the functions share a grid, so they share the zones and the stretches
-    below, above = _zone_edges(fs[0], scales)
-    # one primitive table for all the batches of several functions
-    prims = _primitives(fs)
-    # the spans between the copied stretches are folded, packed into full
-    # batches
-    spans, copied = _runs(fs[0], below, above, x[:m])
+    The points are packed into full batches of _CHUNK // len(fs), each
+    folded by one call, and every call reads the one primitive table built
+    here.  Yields each batch's spans and its values, one column per f.
+    """
+    table = _Table(fs)
     for batch in _batches(spans, max(1, _CHUNK // len(fs))):
-        res = _fold(prims, scales, s, np.concatenate([x[a:b] for a, b in batch]), below, above)
-        at = 0
-        for a, b in batch:
-            vals[:, a:b] = res[at : at + b - a].T
-            at += b - a
-    for a, b in copied:
-        vals[:, a:b] = vals[:, a - 1 : a]
-    return vals
+        yield batch, _fold(table, scales, s, np.concatenate([x[a:b] for a, b in batch]), below, above)
 
 
 def _ascending(x: np.ndarray) -> bool:
@@ -440,11 +405,25 @@ def _check_family(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec)
 
 
 def _gated_variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, x: np.ndarray) -> np.ndarray:
-    """variations_at at ascending x where NaN may only come last, unchecked.
+    """variations_at at ascending x where NaN may only come last and gives NaN, unchecked.
 
     When spec.enforce_tail is on, each row is held to the tail gate in turn.
     """
-    vals = _variation_sorted(fs, seq.scales[: spec.k_max + 1], spec.s, x)
+    scales = seq.scales[: spec.k_max + 1]
+    vals = np.empty((len(fs), x.size), dtype=np.float64)
+    m = int(np.searchsorted(x, np.nan))
+    vals[:, m:] = np.nan
+    # the functions share a grid, so they share the zones and the stretches;
+    # the spans between the copied stretches are folded
+    below, above = _zone_edges(fs[0], scales)
+    spans, copied = _runs(fs[0], below, above, x[:m])
+    for batch, res in _folded(fs, scales, spec.s, x, spans, below, above):
+        at = 0
+        for a, b in batch:
+            vals[:, a:b] = res[at : at + b - a].T
+            at += b - a
+    for a, b in copied:
+        vals[:, a:b] = vals[:, a - 1 : a]
     for f, row in zip(fs, vals):
         _gate(f, row, seq, spec)
     return vals
@@ -457,11 +436,11 @@ def variations_at(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec,
     that depends only on the grid and the points is done once for all of
     them: the order check, the zone edges, the flat stretches and the fold
     batches.  Each elementwise step of the fold is one call over every row.
-    With more than one function, the primitives are read from one table
+    The primitives, of one function or of several, are read from one table
     built per call from each function's primitive_table (see _Table): at
     each scale one binary search finds the cells of a batch's points and
-    gathers give every function's value there, with np.interp's bits up to
-    the sign of a zero.  One function is interpolated by primitive_at.
+    gathers give every function's value there, with primitive_at's bits up to
+    the sign of a zero.
 
     Input out of order or holding NaN is sorted by one stable argsort and
     the result scattered back; NaN sorts last and gives NaN.  Right of the
@@ -533,23 +512,23 @@ def _representatives(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSp
     of about grid.n // len(counts), _CHUNK // len(group) points per call, so
     that a group's representatives take at most one V_s array of the grid;
     the rows of a group are views of one read-only array, folded when its
-    first row is asked for.
+    first row is asked for.  The representatives are packed from the
+    midpoints one batch at a time, as variations_at packs its points.
     """
     scales = seq.scales[: spec.k_max + 1]
     x = grid.midpoints
     below, above = _zone_edges(fs[0], scales)
-    first = np.concatenate([np.arange(a, b) for a, b in _runs(fs[0], below, above, x)[0]])
-    counts = np.diff(first, append=x.size)
-    reps = x[first]
+    spans = _runs(fs[0], below, above, x)[0]
+    counts = np.diff(np.concatenate([np.arange(a, b) for a, b in spans]), append=x.size)
 
     def rows():
-        size = x.size // reps.size  # at least 1: reps are some of the points
+        size = x.size // counts.size  # at least 1: every run holds a point
         for lo in range(0, len(fs), size):
             group = fs[lo : lo + size]
-            prims, step = _primitives(group), max(1, _CHUNK // len(group))
-            vals = np.empty((len(group), reps.size))
-            for a in range(0, reps.size, step):
-                vals[:, a : a + step] = _fold(prims, scales, spec.s, reps[a : a + step], below, above).T
+            vals, at = np.empty((len(group), counts.size)), 0
+            for _, res in _folded(group, scales, spec.s, x, spans, below, above):
+                vals[:, at : at + len(res)] = res.T
+                at += len(res)
             vals.setflags(write=False)
             for f, row in zip(group, vals):
                 _gate(f, row, seq, spec)

@@ -55,7 +55,8 @@ def _stability(cases: list[CaseResult], threshold: float) -> tuple[dict, list[Ch
 
 
 def _spread_check(name: str, values: list[float], threshold: float, **detail) -> Check:
-    """(max - min) / min of values, at most threshold; a min of 0 fails, with spread None."""
+    """(max - min) / min of values, at most threshold; a min of 0 or a value
+    that is not finite fails, with spread None."""
     low = min(values)
-    spread = (max(values) - low) / low if low else None
+    spread = (max(values) - low) / low if low and all(map(math.isfinite, values)) else None
     return Check(name, spread is not None and spread <= threshold, {"spread": spread, "threshold": threshold, **detail})

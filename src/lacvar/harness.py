@@ -67,6 +67,11 @@ class ScenarioInvalid(ValueError):
     pass
 
 
+# The most points an eval grid of a family kind may have: 32 times
+# l2_multiplier's refined grid, and gridfn's cap on a dyadic family
+_MAX_EVAL_POINTS = 1 << 22
+
+
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -245,11 +250,24 @@ def _parse(sc: Scenario) -> _Inputs:
         if key in opts and not ok(opts[key]):
             raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {sc.options[key]!r}")
     inp = _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, None)
+    # the eval grids of the family kinds, each distinct member grid's pair,
+    # counted without an array, so that one past the cap is refused here
+    # and not in the run
+    grids, points, sized_by = [], 0, "seq, k_max, family and options.eval_h"
+    if "eval_h" in kind.options:
+        try:
+            grids = [g for f in {(f.x0, f.h, f.n): f for f in fams}.values() for g in _grids_for(f, inp)]
+            points = max((g.n for g in grids), default=0)
+        except (OverflowError, ValueError):  # a count past the float range, or a step that underflows
+            points = math.inf
+    elif sc.kind == "l2_multiplier":
+        points, sized_by = 2 * opts.get("eval_cells", 0), "options.eval_cells"
+    if points > _MAX_EVAL_POINTS:
+        raise ScenarioInvalid(f"the eval grid needs {points} points, more than {_MAX_EVAL_POINTS}; it is sized by {sized_by}")
     # what the weighted kinds build from an option, the family and the weight:
     # A_p probe families at ap_min_len and half of it, and w^dual_r on one
     # unit from the family's left end; and linf_bmo's dyadic families on
-    # each eval grid, counted without an array, so that one past the cap is
-    # refused here and not in the run
+    # each eval grid, counted the same way
     probe, f0 = None, fams[0] if fams else None
     try:
         if sc.kind == "weighted_pp":
@@ -262,11 +280,11 @@ def _parse(sc: Scenario) -> _Inputs:
                 probe = Weight(GridFunction(w.x0, w.h, w.values**r), f"{weight.label}^{r:g}")
         if sc.kind == "linf_bmo":
             key = "eval_h"
-            for f in {(f.x0, f.h, f.n): f for f in fams}.values():
-                for g in _grids_for(f, inp):
-                    _bmo_family(g, build=dyadic_family_size)
+            for g in grids:
+                _bmo_family(g, build=dyadic_family_size)
     except ValueError as exc:  # EmptyFamily, too many intervals, a power that overflows or underflows to 0
-        raise ScenarioInvalid(f"options.{key}: {exc}") from exc
+        inputs = f"; the eval grid is sized by {sized_by}" if sc.kind == "linf_bmo" else ""
+        raise ScenarioInvalid(f"options.{key}: {exc}{inputs}") from exc
     return inp._replace(probe=probe)
 
 

@@ -179,7 +179,8 @@ def _run_h1_l1(sc, inp):
         for sidx, (base, fine) in enumerate(zip(base_l1, fine_l1)):
             extra = {"ratio_refined": fine, "scale": 2.0**m}
             cases.append(CaseResult(f"scale{m:+03d}_seed{sidx:02d}", base, 1.0, base, extra))
-            per_scale_sup[m] = max(per_scale_sup.get(m, 0.0), base)
+        # np.max, not max: a NaN case makes the scale's sup NaN
+        per_scale_sup[m] = float(np.max([per_scale_sup.get(m, 0.0), *base_l1]))
     stab, checks = _stability(cases, th["stability_h1"])
     checks.append(
         _spread_check(

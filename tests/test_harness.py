@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import math
 import os
 import resource
 import threading
@@ -265,6 +266,53 @@ def test_linf_bmo_counts_the_families_its_run_builds(monkeypatch):
         from_config({"kind": "linf_bmo"})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "strong_pp", "seq": "geometric:0.03125:2:40"},
+    {"kind": "weighted_weak11", "seq": "geometric:1:10:10"},
+    {"kind": "vector_valued", "family": {"length": 0.001, "cells": 200}},
+    {"kind": "weak_11", "options": {"eval_h": 1e-320}},
+])
+def test_family_kinds_refuse_an_eval_grid_too_large_to_build(cfg):
+    # a longer seq, a shorter family or a finer step asks for 2^40 points,
+    # 119 GiB or more than a float counts: the run used to fail to allocate
+    # the midpoints.  Each grid is counted in from_config, without an array
+    from_config({"kind": cfg["kind"]})  # the default members and tables, made outside the traced call
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioInvalid, match=r"the eval grid needs (\d+|inf) points, more than 4194304; "
+                           r"it is sized by seq, k_max, family and options\.eval_h"):
+            from_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+
+def test_eval_grid_cap_counts_the_grids_the_run_builds(monkeypatch):
+    # with the cap at strong_pp's refined grid the defaults pass, and one
+    # below it they are refused; l2_multiplier's refined grid is
+    # 2 * eval_cells
+    inp = harness._parse(from_config({"kind": "strong_pp"}))
+    refined = runners._grids_for(inp.fams[0], inp)[1].n
+    monkeypatch.setattr(harness, "_MAX_EVAL_POINTS", refined)
+    from_config({"kind": "strong_pp"})
+    monkeypatch.setattr(harness, "_MAX_EVAL_POINTS", refined - 1)
+    with pytest.raises(ScenarioInvalid, match=f"needs {refined} points"):
+        from_config({"kind": "strong_pp"})
+    monkeypatch.undo()
+    from_config({"kind": "l2_multiplier", "options": {"eval_cells": 1 << 21}})
+    with pytest.raises(ScenarioInvalid, match=r"needs 4194306 points, more than 4194304; it is sized by options\.eval_cells"):
+        from_config({"kind": "l2_multiplier", "options": {"eval_cells": (1 << 21) + 1}})
+
+
+def test_linf_bmo_names_every_input_that_sizes_its_grid():
+    # this seq alone makes the refined grid's BMO family too large; the
+    # refusal named options.eval_h, which the config never set
+    with pytest.raises(ScenarioInvalid, match=r"needs more than 4194304 intervals .*; "
+                       r"the eval grid is sized by seq, k_max, family and options\.eval_h"):
+        from_config({"kind": "linf_bmo", "seq": "geometric:0.03125:1000:3"})
+
+
 def test_spread_check_fails_on_a_zero_min():
     # (max - min) / min has no value at min 0: the check fails with spread
     # None (null in the report) instead of raising ZeroDivisionError
@@ -274,12 +322,30 @@ def test_spread_check_fails_on_a_zero_min():
         assert check.detail == {"spread": None, "threshold": 0.1, "extra": 1}
     assert _spread_check("s", [1.0, 1.05], 0.1).passed
     assert not _spread_check("s", [1.0, 1.5], 0.1).passed
-    # at s = 1000 the atoms of the smallest scales give V_s f = 0
+    # nor has it one when a value is not finite, whatever the order: min
+    # over a list holding NaN depends on where the NaN stands
+    for values in ([1.0, math.nan], [math.nan, 1.0], [1.0, math.inf], [1.0, 1.05, -math.inf]):
+        check = _spread_check("s", values, 0.1)
+        assert not check.passed and check.detail["spread"] is None
+    # at s = 1000 the atoms of the smallest scales give V_s f = NaN
     with np.errstate(all="ignore"):
         rep = run_scenario(from_config({"kind": "h1_l1", "s": 1000, "options": {"scale_exps": [-5, 0]}}))
     check = next(c for c in rep.checks if c.name == "scale_spread")
     assert not check.passed and check.detail["spread"] is None
     assert json.loads(emit_report(rep))["checks"][-1]["detail"]["spread"] is None
+
+
+
+def test_h1_l1_scale_sup_is_nan_when_a_case_is():
+    # the three atoms of scale 2^-5 all come out NaN at s = 1000; the
+    # scale's sup was max(0.0, NaN) = 0.0, which hid them
+    with np.errstate(all="ignore"):
+        rep = run_scenario(from_config({"kind": "h1_l1", "s": 1000, "options": {"scale_exps": [-5, 0], "atoms_per_scale": 3}}))
+    assert [math.isnan(c.lhs) for c in rep.cases] == [True] * 3 + [False] * 3
+    check = next(c for c in rep.checks if c.name == "scale_spread")
+    sups = check.detail["per_scale_sup"]
+    assert math.isnan(sups["-5"]) and sups["0"] == max(c.lhs for c in rep.cases[3:])
+    assert not check.passed and check.detail["spread"] is None
 
 
 NEEDS_P = ("strong_pp", "l2_multiplier", "weighted_pp", "vector_valued")
