@@ -221,12 +221,16 @@ def default_xi_grid(lo: float = 1e-6, hi: float = 1e6, count: int = 8192) -> np.
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
-def parse_xi_grid(spec: str) -> np.ndarray:
-    """Frequency-grid literal "log:<lo>:<hi>:<count>" (reflected, zero added)."""
+def parse_xi_grid(spec: str, max_points: float = np.inf) -> np.ndarray:
+    """Frequency-grid literal "log:<lo>:<hi>:<count>" (reflected, zero added),
+    refused before any array is made when its 2 * count + 1 points pass max_points."""
     parts = spec.split(":")
     if parts[0] != "log" or len(parts) != 4:
         raise ValueError(f"unrecognized frequency grid literal {spec!r}")
-    return default_xi_grid(float(parts[1]), float(parts[2]), int(parts[3]))
+    count = int(parts[3])
+    if 2 * count + 1 > max_points:
+        raise ValueError(f"{spec!r} has {2 * count + 1} frequencies, more than {max_points}")
+    return default_xi_grid(float(parts[1]), float(parts[2]), count)
 
 
 @dataclass(frozen=True, eq=False)

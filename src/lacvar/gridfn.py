@@ -442,6 +442,22 @@ FAMILY_PARAMS = {
     "random_step": ("count", "seed", "cells", "length"),
     "spike": ("epsilons",),
 }
+# Each member's cells when `cells` is unset, as haar and spike always leave it
+_CELLS = {"indicator": 1, "haar": 2, "bump": 64, "random_step": 64, "spike": 1}
+
+
+def _family_shape(kind: str, params: dict) -> tuple[int, int]:
+    """How many members make_family builds from checked params, and the cells of each."""
+    count = params["count"] if kind == "random_step" else len(params[FAMILY_PARAMS[kind][0]])
+    return int(count), int(params.get("cells", _CELLS[kind]))
+
+
+def family_size(kind: str, params: dict) -> int:
+    """How many cells make_family's members would hold in all, from the same
+    params and with its errors, counted without making an array."""
+    check_family_params(kind, params)
+    count, cells = _family_shape(kind, params)
+    return count * cells
 
 
 def _is_finite(v, above: float = -math.inf) -> bool:
@@ -449,16 +465,18 @@ def _is_finite(v, above: float = -math.inf) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and above < v < math.inf
 
 
-_COUNT = ("a positive integer", lambda v: _is_finite(v, 0) and v == int(v))
+# What a config value must hold and its test, shared with harness's options
+FINITE = ("a finite number", _is_finite)
+POSITIVE = ("a positive finite number", lambda v: _is_finite(v, 0))
+NATURAL = ("an integer >= 0", lambda v: _is_finite(v, -1) and v == int(v))
+COUNT = ("a positive integer", lambda v: _is_finite(v, 0) and v == int(v))
 _LENGTHS = ("a non-empty list of positive finite numbers",
             lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(_is_finite(e, 0) for e in v))
 
 # What each family parameter must hold.
 PARAM_CHECKS = {
-    "x0": ("a finite number", _is_finite),
-    "seed": ("an integer >= 0", lambda v: _is_finite(v, -1) and v == int(v)),
-    "length": ("a positive finite number", lambda v: _is_finite(v, 0)),
-    "count": _COUNT, "cells": _COUNT, "scales": _LENGTHS, "epsilons": _LENGTHS,
+    "x0": FINITE, "seed": NATURAL, "length": POSITIVE, "count": COUNT, "cells": COUNT,
+    "scales": _LENGTHS, "epsilons": _LENGTHS,
 }
 
 
@@ -489,26 +507,21 @@ def make_family(kind: str, params: dict) -> list[GridFunction]:
       spike        epsilons: widths e -> (1/e) * indicator of [x0, x0+e)
     """
     check_family_params(kind, params)
+    count, cells = _family_shape(kind, params)
     x0 = float(params.get("x0", 0.0))
     if kind == "indicator":
-        cells = int(params.get("cells", 1))
         return [GridFunction(x0, float(L) / cells, np.ones(cells)) for L in params["scales"]]
     if kind == "haar":
         return [GridFunction(x0, float(L) / 2.0, np.array([1.0, -1.0])) for L in params["scales"]]
     if kind == "bump":
-        cells = int(params.get("cells", 64))
         t = (np.arange(cells) + 0.5) / cells
         prof = 0.5 * (1.0 - np.cos(2.0 * np.pi * t))
         return [GridFunction(x0, float(L) / cells, prof) for L in params["scales"]]
     if kind == "random_step":
         seed = int(params.get("seed", 0))
-        cells = int(params.get("cells", 64))
         length = float(params.get("length", 1.0))
         rng = np.random.default_rng(seed)
-        return [
-            GridFunction(x0, length / cells, rng.uniform(-1.0, 1.0, size=cells))
-            for _ in range(int(params["count"]))
-        ]
+        return [GridFunction(x0, length / cells, rng.uniform(-1.0, 1.0, size=cells)) for _ in range(count)]
     return [GridFunction(x0, float(e), np.array([1.0 / float(e)])) for e in params["epsilons"]]
 
 

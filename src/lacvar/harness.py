@@ -36,10 +36,11 @@ import numpy as np
 
 from .avgops import VariationSpec
 from .fourier import parse_xi_grid
-from .gridfn import GridFunction, Interval, UniformGrid, dyadic_family_size, make_dyadic_family, make_family
+from .gridfn import (COUNT, FINITE, NATURAL, POSITIVE, GridFunction, Interval, UniformGrid, dyadic_family_size,
+                     family_size, make_dyadic_family, make_family)
 from .gridfn import weak_sup  # unused here: perfbench times it as lacvar.harness.weak_sup
 from .lacunary import LacunarySeq, gamma, parse_sequence
-from .runners import KINDS, _bmo_family, _grids_for
+from .runners import KINDS, _bmo_family, _zone_count
 from .weights import parse_weight, Weight, WeightSpec
 
 SCHEMA_VERSION = "lacvar-report/1"
@@ -67,8 +68,10 @@ class ScenarioInvalid(ValueError):
     pass
 
 
-# The most points an eval grid of a family kind may have: 32 times
-# l2_multiplier's refined grid, and gridfn's cap on a dyadic family
+# The most points one array of a run may span: an eval grid, the members'
+# cells, the frequencies of xi_grid, h1_l1's zone cells at one scale, or
+# indicator_identity's (y, x) grid of one pair.  32 times l2_multiplier's
+# refined grid, and gridfn's cap on a dyadic family
 _MAX_EVAL_POINTS = 1 << 22
 
 
@@ -80,32 +83,29 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_whole(v, least: int = 1) -> bool:
-    return _is_real(v) and math.isfinite(v) and v == int(v) >= least
-
-
 def _is_list(v, ok, size: int = 0) -> bool:
     """A non-empty list or tuple, of `size` items when it is given, that all pass ok."""
     return isinstance(v, (list, tuple)) and len(v) == (size or len(v)) > 0 and all(map(ok, v))
 
 
-_POSITIVE = ("a positive number", lambda v: _is_real(v) and 0.0 < v < math.inf, float)
-_COUNT = ("a positive integer", _is_whole, int)
+_POSITIVE, _COUNT = (*POSITIVE, float), (*COUNT, int)
 _INT_PAIR = ("two integers", lambda v: _is_list(v, _is_int, 2), list)
 
 # What each `options` key of KINDS must hold, the test _parse puts its value
 # to, and how the runners read it.  `eval_h` may also be null, which asks for
 # the default grid; `scale_exps` stays where 2.0**m and 2.0**-m are finite and
-# nonzero; `xi_grid` is read by parse_xi_grid, whose own rules then apply.
+# nonzero; `xi_grid` is read by parse_xi_grid, whose own rules then apply,
+# with at most _MAX_EVAL_POINTS frequencies.
 OPTION_CHECKS = {
-    "eval_h": ("a positive number or null", lambda v: v is None or _POSITIVE[1](v), lambda v: v),
+    "eval_h": ("a positive finite number or null", lambda v: v is None or POSITIVE[1](v), lambda v: v),
     "scale_exps": ("a non-empty list of integers in -1022..1022", lambda v: _is_list(v, lambda m: _is_int(m) and abs(m) <= 1022), list),
-    "atom_cells": ("an integer >= 2", lambda v: _is_whole(v, 2), int),
-    "dual_r": ("a finite number", lambda v: _is_real(v) and math.isfinite(v), float),
+    "atom_cells": ("an integer >= 2", lambda v: COUNT[1](v) and v >= 2, int),
+    "dual_r": (*FINITE, float),
     "r_values": ("a non-empty list of numbers >= 1", lambda v: _is_list(v, lambda r: _is_real(r) and r >= 1.0),
                  lambda v: [float(r) for r in v]),
-    "j": ("an integer >= 0", lambda v: _is_whole(v, 0), int),
-    "xi_grid": ("a frequency grid literal log:<lo>:<hi>:<count>", lambda v: isinstance(v, str), parse_xi_grid),
+    "j": (*NATURAL, int),
+    "xi_grid": ("a frequency grid literal log:<lo>:<hi>:<count>", lambda v: isinstance(v, str),
+                lambda v: parse_xi_grid(v, _MAX_EVAL_POINTS)),
     "ap_min_len": _POSITIVE, "y": _POSITIVE, "k_pair": _INT_PAIR, "i_range": _INT_PAIR,
     "eval_cells": _COUNT, "atoms_per_scale": _COUNT, "zone_points": _COUNT, "shell_l_max": _COUNT,
     "sequence_count": _COUNT, "y_count": _COUNT, "x_count": _COUNT,
@@ -119,8 +119,8 @@ class Scenario:
     `family` describes the test-function corpus (gridfn.make_family), and
     `options` carries kind-specific knobs (frequency grids, index ranges,
     atom layouts); both are echoed verbatim into the report.  A kind needs
-    `p`, `weight`, `rho` or `family` when its defaults name it, and refuses
-    it otherwise; no kind reads `lambda_grid`, kept so the echo keeps its keys.
+    `p`, `weight`, `rho`, `family` and options its defaults name, and refuses
+    the first four otherwise; no kind reads `lambda_grid`, kept for the echo.
     """
 
     kind: str
@@ -157,6 +157,7 @@ class _Inputs(NamedTuple):
     th: dict  # DEFAULT_THRESHOLDS with the scenario's own over them
     opts: dict  # the options as OPTION_CHECKS reads them
     probe: object  # weighted_pp's A_p families, weighted_weak11's w^dual_r, else None
+    grids: object  # KINDS[kind].grids, the rule: grids held here would keep their midpoints all run
 
 
 def _parse(sc: Scenario) -> _Inputs:
@@ -164,7 +165,10 @@ def _parse(sc: Scenario) -> _Inputs:
 
     Each library constructor is called once, and its refusal becomes a
     ScenarioInvalid naming the field; the checks here cover what they let
-    through, or what only the run would trip over.
+    through, or what only the run would trip over.  Every option the kind's
+    defaults name must be set.  What the run would allocate is counted in
+    Python numbers against _MAX_EVAL_POINTS, the eval grids by the kind's
+    rule, KINDS[kind].grids, on each distinct member grid.
     """
     if sc.kind not in KINDS:
         raise ScenarioInvalid(f"unknown scenario kind {sc.kind!r}")
@@ -202,14 +206,17 @@ def _parse(sc: Scenario) -> _Inputs:
         if sc.family.get("kind") == "random_step":
             params.setdefault("seed", sc.seed)
         try:
+            cells = family_size(sc.family.get("kind"), params)
+            if cells > _MAX_EVAL_POINTS:
+                raise ValueError(f"the members hold {cells} cells, more than {_MAX_EVAL_POINTS}")
             fams = make_family(sc.family.get("kind"), params)
-        except ValueError as exc:  # BadParams, or a member GridFunction refuses
+        except ValueError as exc:  # BadParams, too many cells, or a member GridFunction refuses
             raise ScenarioInvalid(f"family: {exc}") from exc
     for key, val in sc.thresholds.items():
         if key not in DEFAULT_THRESHOLDS:
             raise ScenarioInvalid(f"unknown threshold {key!r}")
-        if not (_is_real(val) and math.isfinite(val)):
-            raise ScenarioInvalid(f"thresholds.{key} must be a finite number, got {val!r}")
+        if not FINITE[1](val):
+            raise ScenarioInvalid(f"thresholds.{key} must be {FINITE[0]}, got {val!r}")
     opts = {}
     for key, val in sc.options.items():
         if key not in kind.options:
@@ -221,6 +228,8 @@ def _parse(sc: Scenario) -> _Inputs:
             opts[key] = read(val)
         except ValueError as exc:
             raise ScenarioInvalid(f"options.{key}: {exc}") from exc
+    if missing := [key for key in kind.defaults.get("options", ()) if key not in opts]:
+        raise ScenarioInvalid(f"{sc.kind} needs options.{missing[0]}, as its defaults name it")
     try:
         seq = parse_sequence(sc.seq, sc.beta)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -231,37 +240,40 @@ def _parse(sc: Scenario) -> _Inputs:
         spec.check_seq(seq)
     except ValueError as exc:
         raise ScenarioInvalid(f"{exc}; seq has {last + 1} scales") from exc
-    top = scales[spec.k_max]
+    top, has = scales[spec.k_max], f"as seq has {last + 1} scales"
     # dr_condition fits a decay slope over i_range, which needs two indices,
     # and its kernel checks need i >= j + gamma and i + 1 <= k_max
     two = sc.kind == "dr_condition"
-    j = opts.get("j", 0)
-    lo_i, hi_i = (j + gamma(seq.beta), spec.k_max) if two else (0, last)
-    # the options that are read against the scales of seq
+    lo_i, hi_i, n_j = (opts["j"] + gamma(seq.beta), spec.k_max, scales[min(opts["j"], last)]) if two else (0, last, None)
+    # the options that are read against the scales of seq, or that size an
+    # array of the run on their own
     for key, what, ok in (
-        ("j", f"at most {last}", lambda v: v <= last),
-        ("y", f"at most n_j = {scales[min(j, last)]!r}", lambda y: y <= scales[j]),
-        ("k_pair", f"two indices in 1..{last}", lambda ks: all(1 <= k <= last for k in ks)),
-        ("i_range", f"[lo, hi] with {lo_i} <= lo {'<' if two else '<='} hi < {hi_i}",
+        ("j", f"at most {last}, {has}", lambda v: v <= last),
+        ("y", f"at most n_j = {n_j!r}, {has}", lambda y: y <= n_j),
+        ("k_pair", f"two indices in 1..{last}, {has}", lambda ks: all(1 <= k <= last for k in ks)),
+        ("i_range", f"[lo, hi] with {lo_i} <= lo {'<' if two else '<='} hi < {hi_i}, {has}",
          lambda r: lo_i <= r[0] <= r[1] - two and r[1] < hi_i),
-        ("scale_exps", f"exponents m with n_0 <= 2**m <= n_k_max, from {scales[0]!r} to {top!r}",
+        ("scale_exps", f"exponents m with n_0 <= 2**m <= n_k_max, from {scales[0]!r} to {top!r}, {has}",
          lambda ms: all(scales[0] <= 2.0**m <= top for m in ms)),
+        ("zone_points", f"a count that tiles each scale's atom zones, refined, with at most {_MAX_EVAL_POINTS} cells, {has}",
+         lambda zp: _zone_count(opts["scale_exps"], seq, spec.k_max, 2 * zp) <= _MAX_EVAL_POINTS),
+        ("y_count", f"a count with y_count * x_count at most {_MAX_EVAL_POINTS}, the (y, x) grid of one pair",
+         lambda yc: yc * opts["x_count"] <= _MAX_EVAL_POINTS),
     ):
         if key in opts and not ok(opts[key]):
-            raise ScenarioInvalid(f"options.{key} must be {what}, as seq has {last + 1} scales, got {sc.options[key]!r}")
-    inp = _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, None)
-    # the eval grids of the family kinds, each distinct member grid's pair,
+            raise ScenarioInvalid(f"options.{key} must be {what}, got {sc.options[key]!r}")
+    inp = _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, None, kind.grids)
+    # the eval grids the kind's rule gives each distinct member grid,
     # counted without an array, so that one past the cap is refused here
-    # and not in the run
-    grids, points, sized_by = [], 0, "seq, k_max, family and options.eval_h"
-    if "eval_h" in kind.options:
+    # and not in the run; the `eval_*` options are the ones that size them
+    sized_by = " and ".join(["seq, k_max, family", *(f"options.{k}" for k in kind.options if k.startswith("eval_"))])
+    grids, points = [], 0
+    if kind.grids:
         try:
-            grids = [g for f in {(f.x0, f.h, f.n): f for f in fams}.values() for g in _grids_for(f, inp)]
+            grids = [g for f in {(f.x0, f.h, f.n): f for f in fams}.values() for g in kind.grids(f, inp)]
             points = max((g.n for g in grids), default=0)
         except (OverflowError, ValueError):  # a count past the float range, or a step that underflows
             points = math.inf
-    elif sc.kind == "l2_multiplier":
-        points, sized_by = 2 * opts.get("eval_cells", 0), "options.eval_cells"
     if points > _MAX_EVAL_POINTS:
         raise ScenarioInvalid(f"the eval grid needs {points} points, more than {_MAX_EVAL_POINTS}; it is sized by {sized_by}")
     # what the weighted kinds build from an option, the family and the weight:
@@ -271,10 +283,10 @@ def _parse(sc: Scenario) -> _Inputs:
     probe, f0 = None, fams[0] if fams else None
     try:
         if sc.kind == "weighted_pp":
-            key, ml = "ap_min_len", opts.get("ap_min_len", 4.0 * f0.h)
+            key, ml = "ap_min_len", opts["ap_min_len"]
             probe = [make_dyadic_family(Interval(f0.x0, f0.x1), m, shifts=(0.0, 0.5)) for m in (ml, ml / 2.0)]
         if sc.kind == "weighted_weak11":
-            key, r = "dual_r", opts.get("dual_r", 2.0)
+            key, r = "dual_r", opts["dual_r"]
             w = weight.sample(UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))).fn
             with np.errstate(over="ignore"):
                 probe = Weight(GridFunction(w.x0, w.h, w.values**r), f"{weight.label}^{r:g}")

@@ -26,22 +26,36 @@ def _grids_for(f: GridFunction, inp: _Inputs) -> list[UniformGrid]:
     return [default_eval_grid(f, inp.seq, inp.spec.k_max, h=h / scale) for scale in (1, 2)]
 
 
-def _family_cases(inp: _Inputs, lhs_of, rhs_of, grids_of=_grids_for) -> list[CaseResult]:
+def _cell_grids(f: GridFunction, inp: _Inputs) -> list[UniformGrid]:
+    """l2_multiplier's eval grid pair: `eval_cells` cells and twice as many over f's default grid span."""
+    cells, span = inp.opts["eval_cells"], (f.x1 + inp.seq.scales[inp.spec.k_max]) - f.x0
+    return [UniformGrid(f.x0, span / (cells * scale), cells * scale) for scale in (1, 2)]
+
+
+_MAX_TOP = 100.0  # the top scale of refine_domination's random domination sequences is at most this
+
+
+def _refine_grids(f: GridFunction, inp: _Inputs) -> list[UniformGrid]:
+    """refine_domination's eval grids: the default grid on seq and the widest its random sequences ask for."""
+    return [default_eval_grid(f, s, len(s) - 1) for s in (inp.seq, LacunarySeq((_MAX_TOP,), inp.seq.beta))]
+
+
+def _family_cases(inp: _Inputs, lhs_of, rhs_of) -> list[CaseResult]:
     """One case per member of the family: lhs_of(V_s f) against rhs_of(f).
 
     V_s f comes as a RunFunction (lhs_of expands it if it needs every
-    cell), sampled on the first grid of grids_of(f, inp) for the case
-    ratio and on the second (half the step) for `ratio_refined`.  grids_of
-    may read only f's grid (x0, h, n): a run of consecutive members on one
-    grid shares one pair and one `variations` call per grid, which folds
-    several members at a time.  Only the current run's pair is held, and
-    one member's two samples are made and measured in turn.
+    cell), sampled on the first grid of the kind's rule, inp.grids(f, inp),
+    for the case ratio and on the second (refined) for `ratio_refined`.  A
+    rule reads only f's grid (x0, h, n): a run of consecutive members on
+    one grid shares one pair and one `variations` call per grid, which
+    folds several members at a time.  Only the current run's pair is held,
+    and one member's two samples are made and measured in turn.
     """
     seq, spec = inp.seq, inp.spec
     cases = []
     for _, run in groupby(inp.fams, lambda f: (f.x0, f.h, f.n)):
         run = list(run)
-        pair = [variations(run, seq, spec, g) for g in grids_of(run[0], inp)]
+        pair = [variations(run, seq, spec, g) for g in inp.grids(run[0], inp)]
         for f in run:
             lhs, lhs2 = (lhs_of(next(vs)) for vs in pair)
             rhs = rhs_of(f)
@@ -103,7 +117,7 @@ def _run_weighted_weak11(sc, inp):
 
     # diagnostic: A_1 estimate of w^dual_r near the support, the hypothesis
     # side of the weighted weak-type statement
-    dual_r, w = inp.opts.get("dual_r", 2.0), inp.probe.fn
+    dual_r, w = inp.opts["dual_r"], inp.probe.fn
     a1 = a1_constant(inp.probe, make_dyadic_family(Interval(w.x0, w.x1), 2.0 * w.h))
     checks.append(Check("a1_hypothesis_finite", math.isfinite(a1), {"a1_estimate": a1}))
     constants = {"a1_estimate": a1, "dual_r": dual_r, "weight": wspec.label}
@@ -146,18 +160,32 @@ def _atom_zones(I: Interval, seq: LacunarySeq, k_max: int) -> list[list[float]]:
     return merged
 
 
+def _zone_sizes(I: Interval, seq, k_max: int, points_per_scale: int) -> list[tuple[float, float, int]]:
+    """(left end, cell width, cell count) of each atom zone of I, tiled at
+    points_per_scale cells per |I|, in Python floats: a count past the
+    float range is an OverflowError or a ZeroDivisionError."""
+    target = I.length / points_per_scale
+    sizes = []
+    for lo, hi in _atom_zones(I, seq, k_max):
+        m = max(1, int(math.ceil((hi - lo) / target)))
+        sizes.append((lo, (hi - lo) / m, m))
+    return sizes
+
+
+def _zone_count(exps, seq, k_max: int, points_per_scale: int) -> float:
+    """The most cells _zone_cells tiles one atom scale 2**m, m in exps, with;
+    math.inf past the float range."""
+    try:
+        return max(sum(m for *_, m in _zone_sizes(Interval(0.0, 2.0**e), seq, k_max, points_per_scale)) for e in exps)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _zone_cells(I: Interval, seq, spec, points_per_scale: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and widths of the cells that tile the atom zones of I."""
-    zones = _atom_zones(I, seq, spec.k_max)
-    target = I.length / points_per_scale
-    pts = []
-    widths = []
-    for lo, hi in zones:
-        m = max(1, int(math.ceil((hi - lo) / target)))
-        hz = (hi - lo) / m
-        pts.append(lo + hz * (np.arange(m) + 0.5))
-        widths.append(np.full(m, hz))
-    return np.concatenate(pts), np.concatenate(widths)
+    sizes = _zone_sizes(I, seq, spec.k_max, points_per_scale)
+    pts = [lo + hz * (np.arange(m) + 0.5) for lo, hz, m in sizes]
+    return np.concatenate(pts), np.concatenate([np.full(m, hz) for _, hz, m in sizes])
 
 
 def _run_h1_l1(sc, inp):
@@ -196,14 +224,7 @@ def _run_l2_multiplier(sc, inp):
     scan = multiplier_sums(seq, inp.opts["xi_grid"], k_max)
     sqrt_q = math.sqrt(scan.sup_q)
     bound = sqrt_q * th["multiplier_slack"]
-    eval_cells = inp.opts["eval_cells"]
-    nk = seq.scales[k_max]
-
-    def grids_of(f, _):
-        span = (f.x1 + nk) - f.x0
-        return [UniformGrid(f.x0, span / (eval_cells * scale), eval_cells * scale) for scale in (1, 2)]
-
-    cases = _family_cases(inp, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0), grids_of)
+    cases = _family_cases(inp, lambda v: lp_norm(v, 2.0), lambda f: lp_norm(f, 2.0))
     stab, (finite, _) = _stability(cases, th["stability"])
     worst = stab["base"]
     detail = {"worst_ratio": worst, "bound": bound, "sqrt_sup_q": sqrt_q}
@@ -222,7 +243,7 @@ def _run_vector_valued(sc, inp):
     seq, spec, fams, p = inp.seq, inp.spec, inp.fams, sc.p
     rhos = tuple(sorted(sc.rho))
     f0 = fams[0]
-    grids = _grids_for(f0, inp)
+    grids = inp.grids(f0, inp)
     # V_s f does not depend on rho: one kernel call per member and grid.
     # The refined call runs first and keeps only its norms; its grid, with
     # the cached midpoints, is dropped once the call is done.  The
@@ -285,7 +306,7 @@ def _run_refine_domination(sc, inp):
     )
 
     dom_seqs = [inp.seq] + [
-        _random_lacunary(rng, length_range=(2, 5), beta_range=(1.2, 2.5), gap_exp=1.2, max_top=100.0)
+        _random_lacunary(rng, length_range=(2, 5), beta_range=(1.2, 2.5), gap_exp=1.2, max_top=_MAX_TOP)
         for _ in range(3)
     ]
     slack = inp.th["domination_slack"]
@@ -298,7 +319,7 @@ def _run_refine_domination(sc, inp):
         ref = refine(seq)
         spec_o = replace(inp.spec, k_max=len(seq) - 1)
         spec_r = replace(inp.spec, k_max=len(ref) - 1)
-        grid = default_eval_grid(f, seq, len(seq) - 1)
+        grid = inp.grids(f, inp._replace(seq=seq))[0]  # the default grid on the member's own seq
         v_o = variation(f, seq, spec_o, grid)
         v_r = variation(f, ref, spec_r, grid)
         gap = v_o.values - v_r.values
@@ -470,49 +491,50 @@ def _run_indicator_identity(sc, inp):
 
 class _Kind(NamedTuple):
     run: Callable  # (scenario, its _Inputs) -> _Outcome
+    grids: Callable | None  # (f, its _Inputs) -> the eval grids run samples f on; None without a uniform one
     options: tuple  # the `options` keys run reads
     defaults: dict  # the Scenario fields other than kind, at desk-scale budgets
 
 
-# Each scenario kind, once.  `eval_h` is the eval-grid step of the kinds that
-# measure on the default grid; `l2_multiplier` sizes its grid by `eval_cells`.
+# Each scenario kind, once.  The `eval_*` options size the grids of a kind's
+# grid rule; every option the defaults name must be set.
 KINDS = {
-    "strong_pp": _Kind(_run_strong_pp, ("eval_h",), dict(
+    "strong_pp": _Kind(_run_strong_pp, _grids_for, ("eval_h",), dict(
         seq="geometric:0.03125:2:16", p=2.0,
         family={"kind": "random_step", "count": 20, "cells": 64, "length": 1.0})),
-    "weak_11": _Kind(_run_weak_11, ("eval_h",), dict(
+    "weak_11": _Kind(_run_weak_11, _grids_for, ("eval_h",), dict(
         seq="geometric:1:2:10", family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
         options={"eval_h": 0.0625})),
-    "h1_l1": _Kind(_run_h1_l1, ("scale_exps", "atoms_per_scale", "atom_cells", "zone_points"), dict(
+    "h1_l1": _Kind(_run_h1_l1, None, ("scale_exps", "atoms_per_scale", "atom_cells", "zone_points"), dict(
         seq="geometric:0.00006103515625:2:30",
         options={"scale_exps": list(range(-5, 6)), "atoms_per_scale": 20, "atom_cells": 32, "zone_points": 48})),
-    "linf_bmo": _Kind(_run_linf_bmo, ("eval_h",), dict(
+    "linf_bmo": _Kind(_run_linf_bmo, _grids_for, ("eval_h",), dict(
         seq="geometric:0.03125:2:9",
         family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0})),
-    "l2_multiplier": _Kind(_run_l2_multiplier, ("eval_cells", "xi_grid"), dict(
+    "l2_multiplier": _Kind(_run_l2_multiplier, _cell_grids, ("eval_cells", "xi_grid"), dict(
         seq="geometric:0.015625:2:13", p=2.0,
         family={"kind": "random_step", "count": 100, "cells": 64, "length": 1.0},
         options={"eval_cells": 65536, "xi_grid": "log:1e-6:1e6:8192"})),
-    "weighted_pp": _Kind(_run_weighted_pp, ("eval_h", "ap_min_len"), dict(
+    "weighted_pp": _Kind(_run_weighted_pp, _grids_for, ("eval_h", "ap_min_len"), dict(
         seq="geometric:0.0625:2:10", p=2.0, weight="power:0.5",
         family={"kind": "random_step", "count": 10, "cells": 64, "length": 2.0, "x0": -1.0},
         options={"ap_min_len": 0.0625})),
-    "weighted_weak11": _Kind(_run_weighted_weak11, ("eval_h", "dual_r"), dict(
+    "weighted_weak11": _Kind(_run_weighted_weak11, _grids_for, ("eval_h", "dual_r"), dict(
         seq="geometric:1:2:10", weight="power:-0.25",
         family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
         options={"eval_h": 0.0625, "dual_r": 2.0})),
-    "vector_valued": _Kind(_run_vector_valued, ("eval_h",), dict(
+    "vector_valued": _Kind(_run_vector_valued, _grids_for, ("eval_h",), dict(
         seq="geometric:0.03125:2:16", p=2.0, rho=(1.5, 2.0, 3.0),
         family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0})),
-    "refine_domination": _Kind(_run_refine_domination, ("sequence_count",), dict(
+    "refine_domination": _Kind(_run_refine_domination, _refine_grids, ("sequence_count",), dict(
         seq=(1.0, 8.0), beta=2.0,
         family={"kind": "random_step", "count": 20, "cells": 32, "length": 1.0},
         options={"sequence_count": 500})),
-    "dr_condition": _Kind(_run_dr_condition, ("r_values", "j", "i_range", "y", "shell_l_max"), dict(
+    "dr_condition": _Kind(_run_dr_condition, None, ("r_values", "j", "i_range", "y", "shell_l_max"), dict(
         seq="geometric:1:2:24",
         options={"r_values": [1.0, 2.0], "j": 0, "i_range": [1, 8], "shell_l_max": 20})),
-    "fourier_bound": _Kind(_run_fourier_bound, ("xi_grid", "k_pair"), dict(
+    "fourier_bound": _Kind(_run_fourier_bound, None, ("xi_grid", "k_pair"), dict(
         seq="geometric:1:2:41", options={"xi_grid": "log:1e-6:1e6:8192", "k_pair": [20, 40]})),
-    "indicator_identity": _Kind(_run_indicator_identity, ("i_range", "y_count", "x_count"), dict(
+    "indicator_identity": _Kind(_run_indicator_identity, None, ("i_range", "y_count", "x_count"), dict(
         seq="geometric:1:2:12", options={"i_range": [1, 8], "y_count": 16, "x_count": 64})),
 }

@@ -412,6 +412,14 @@ def test_parse_xi_grid_literal():
     assert g[0] == -10.0 and g[-1] == 10.0
 
 
+def test_parse_xi_grid_refuses_more_points_than_asked_before_the_array():
+    assert parse_xi_grid("log:0.1:10:5", max_points=11).size == 11
+    with pytest.raises(ValueError, match="'log:0.1:10:5' has 11 frequencies, more than 10"):
+        parse_xi_grid("log:0.1:10:5", max_points=10)
+    with pytest.raises(ValueError, match="has 2000000000000000000001 frequencies"):
+        parse_xi_grid("log:0.1:10:1000000000000000000000", max_points=10)
+
+
 def test_parse_xi_grid_rejects_garbage():
     with pytest.raises(ValueError):
         parse_xi_grid("lin:0:1:5")

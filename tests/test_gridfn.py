@@ -575,6 +575,15 @@ def test_family_respects_origin_param():
     assert f.x0 == -1.0 and f.x1 == 1.0
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("indicator", {"scales": [1.0, 2.0]}), ("indicator", {"scales": [1.0], "cells": 5}),
+    ("haar", {"scales": [1.0, 2.0, 4.0]}), ("bump", {"scales": [1.0, 2.0]}), ("bump", {"scales": [1.0], "cells": 7}),
+    ("random_step", {"count": 3}), ("random_step", {"count": 2.0, "cells": 8.0}), ("spike", {"epsilons": [0.5, 0.25]}),
+])
+def test_family_size_counts_the_cells_make_family_builds(kind, params):
+    assert gridfn.family_size(kind, params) == sum(f.n for f in make_family(kind, params))
+
+
 def test_family_bad_params():
     with pytest.raises(BadParams):
         make_family("indicator", {})

@@ -1,4 +1,5 @@
 import collections
+import copy
 import hashlib
 import json
 import math
@@ -288,21 +289,82 @@ def test_family_kinds_refuse_an_eval_grid_too_large_to_build(cfg):
     assert peak < 2**18
 
 
+@pytest.mark.parametrize("cfg, field", [
+    # passed from_config; the run failed at the midpoints of the grid on seq
+    ({"kind": "refine_domination", "seq": "geometric:1:1000:10"},
+     r"the eval grid needs \d+ points, more than 4194304; it is sized by seq, k_max, family$"),
+    # 74.5 GiB and 1.49 GiB of frequencies, asked for inside from_config
+    ({"kind": "fourier_bound", "options": {"xi_grid": "log:1e-6:1e6:10000000000"}},
+     r"options\.xi_grid: 'log:1e-6:1e6:10000000000' has 20000000001 frequencies, more than 4194304"),
+    ({"kind": "fourier_bound", "options": {"xi_grid": "log:1e-6:1e6:100000000"}}, r"options\.xi_grid: .* has 200000001 frequencies"),
+    # the members' cells: two inside from_config, one in the run
+    ({"kind": "strong_pp", "family": {"count": 100000000}}, r"family: the members hold 6400000000 cells, more than 4194304"),
+    ({"kind": "strong_pp", "family": {"cells": 100000000, "count": 1}}, r"family: the members hold 100000000 cells"),
+    ({"kind": "refine_domination", "family": {"cells": 10000000, "count": 4}}, r"family: the members hold 40000000 cells"),
+    # 22.4 GiB of zone cells, and 931 GiB of (y, x) points, in the run
+    ({"kind": "h1_l1", "options": {"zone_points": 1000000000, "scale_exps": [0], "atoms_per_scale": 1}},
+     r"options\.zone_points must be a count that tiles each scale's atom zones, refined, with at most 4194304 cells"),
+    ({"kind": "indicator_identity", "options": {"y_count": 1000000, "x_count": 1000000}},
+     r"options\.y_count must be a count with y_count \* x_count at most 4194304, the \(y, x\) grid of one pair"),
+])
+def test_runs_refuse_an_array_too_large_to_build(cfg, field):
+    # each of these used to fail to allocate, in from_config or in the run;
+    # each is now counted in from_config, without an array, and refused
+    # naming the field that sizes it
+    from_config({"kind": cfg["kind"]})  # the defaults' members and tables, made outside the traced call
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioInvalid, match=field):
+            from_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+
 def test_eval_grid_cap_counts_the_grids_the_run_builds(monkeypatch):
-    # with the cap at strong_pp's refined grid the defaults pass, and one
-    # below it they are refused; l2_multiplier's refined grid is
-    # 2 * eval_cells
-    inp = harness._parse(from_config({"kind": "strong_pp"}))
-    refined = runners._grids_for(inp.fams[0], inp)[1].n
-    monkeypatch.setattr(harness, "_MAX_EVAL_POINTS", refined)
-    from_config({"kind": "strong_pp"})
-    monkeypatch.setattr(harness, "_MAX_EVAL_POINTS", refined - 1)
-    with pytest.raises(ScenarioInvalid, match=f"needs {refined} points"):
-        from_config({"kind": "strong_pp"})
-    monkeypatch.undo()
-    from_config({"kind": "l2_multiplier", "options": {"eval_cells": 1 << 21}})
-    with pytest.raises(ScenarioInvalid, match=r"needs 4194306 points, more than 4194304; it is sized by options\.eval_cells"):
-        from_config({"kind": "l2_multiplier", "options": {"eval_cells": (1 << 21) + 1}})
+    # for every kind with a grid rule, each eval grid the run hands to the
+    # kernel is one that _parse counted by that rule; refine_domination's
+    # random sequences ask for grids at f's origin and step no longer than
+    # the widest one it counted.  With the cap at the largest counted grid
+    # the config passes, and one below it it is refused
+    handed = []
+    for name in ("variations", "vector_variations", "variation"):
+        def spy(fs, seq, spec, *rest, _original=getattr(runners, name)):
+            handed.append((seq, rest[-1]))
+            return _original(fs, seq, spec, *rest)
+
+        monkeypatch.setattr(runners, name, spy)
+    kinds = [kind for kind, row in runners.KINDS.items() if row.grids]
+    assert len(kinds) == 8
+    for kind in kinds:
+        row, counted = runners.KINDS[kind], []
+
+        def counting(f, inp, rule=row.grids):
+            grids = rule(f, inp)
+            counted.extend(grids)
+            return grids
+
+        cfg = {"kind": kind, "family": {"count": 5}} if "count" in row.defaults["family"] else {"kind": kind}
+        with monkeypatch.context() as mp:
+            mp.setitem(runners.KINDS, kind, row._replace(grids=counting))
+            sc = from_config(cfg)
+            counted.clear()
+            inp = harness._parse(sc)
+            parsed = list(counted)  # the run calls the rule too
+            keys, most = {(g.x0, g.h, g.n) for g in parsed}, max(g.n for g in parsed)
+            handed.clear()
+            row.run(sc, inp)
+            assert handed, kind
+            for seq, g in handed:
+                if kind != "refine_domination" or seq is inp.seq:
+                    assert (g.x0, g.h, g.n) in keys, kind
+                assert any(g.x0 == c.x0 and g.h == c.h for c in parsed) and g.n <= most, kind
+            mp.setattr(harness, "_MAX_EVAL_POINTS", most)
+            from_config(cfg)
+            mp.setattr(harness, "_MAX_EVAL_POINTS", most - 1)
+            with pytest.raises(ScenarioInvalid, match=f"the eval grid needs {most} points"):
+                from_config(cfg)
 
 
 def test_linf_bmo_names_every_input_that_sizes_its_grid():
@@ -369,6 +431,18 @@ def test_kind_default_without_p_or_family_is_rejected(kind, field):
     }[field]
     with pytest.raises(ScenarioInvalid, match=message):
         replace(default_scenario(kind), **{field: cleared}).validate()
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, row in runners.KINDS.items() for key in row.defaults.get("options", {})],
+)
+def test_kind_default_without_a_named_option_is_rejected(kind, key):
+    # a Scenario made directly gets no option its defaults name: h1_l1
+    # without zone_points passed validate and raised KeyError in the run
+    defaults = copy.deepcopy(runners.KINDS[kind].defaults)
+    del defaults["options"][key]
+    with pytest.raises(ScenarioInvalid, match=rf"{kind} needs options\.{key}, as its defaults name it"):
+        Scenario(kind, **defaults).validate()
 
 
 def test_thresholds_merge_into_report():
@@ -513,9 +587,6 @@ def test_run_scenario_parses_each_input_once(monkeypatch, kind):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, counting)
-    # the options table holds parse_xi_grid itself, not the module name
-    what, ok, _ = harness.OPTION_CHECKS["xi_grid"]
-    monkeypatch.setitem(harness.OPTION_CHECKS, "xi_grid", (what, ok, harness.parse_xi_grid))
     run_scenario(sc)
     assert calls["parse_sequence"] == 1
     assert max(calls.values()) == 1, calls

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 
 import pytest
 
@@ -31,6 +32,17 @@ def test_atom_zones_merge_overlaps():
     # interval longer than the first scales: everything up front merges
     assert zones[0][0] == 0.0
     assert zones[0][1] >= 7.0
+
+
+def test_zone_count_is_the_most_cells_zone_cells_tiles():
+    # counted in Python floats, as harness does before the run, and
+    # math.inf where the count passes the float range
+    inp = harness._parse(from_config({"kind": "h1_l1"}))
+    for points in (1, 48, 96, 1000):
+        sizes = [runners._zone_cells(Interval(0.0, 2.0**m), inp.seq, inp.spec, points)[0].size for m in (-5, 0, 5)]
+        assert runners._zone_count([-5, 0, 5], inp.seq, inp.spec.k_max, points) == max(sizes)
+    assert 10**300 < runners._zone_count([0], inp.seq, inp.spec.k_max, 10**300) < math.inf
+    assert runners._zone_count([0], inp.seq, inp.spec.k_max, 10**400) == math.inf
 
 
 def test_h1_l1_draws_each_atom_once(monkeypatch):
