@@ -118,9 +118,9 @@ class Scenario:
 
     `family` describes the test-function corpus (gridfn.make_family), and
     `options` carries kind-specific knobs (frequency grids, index ranges,
-    atom layouts); both are echoed verbatim into the report.  A kind needs
-    `p`, `weight`, `rho`, `family` and options its defaults name, and refuses
-    the first four otherwise; no kind reads `lambda_grid`, kept for the echo.
+    atom layouts); both are echoed verbatim into the report.  A kind takes
+    the fields, options and thresholds in KINDS[kind].reads, and needs the
+    `p`, `weight`, `rho` and `family` there; any other field keeps its value.
     """
 
     kind: str
@@ -147,6 +147,11 @@ class Scenario:
         return asdict(self)
 
 
+# The fields a kind may leave unread, which then keep its defaults' or _BLANK's value
+_BLANK, _UNSET = Scenario(""), (None, (), [], {})
+_SETTABLE = ("p", "weight", "rho", "family", "lambda_grid", "s", "k_max", "tail_tol", "enforce_tail")
+
+
 class _Inputs(NamedTuple):
     """A scenario parsed into what its runner reads."""
 
@@ -165,10 +170,11 @@ def _parse(sc: Scenario) -> _Inputs:
 
     Each library constructor is called once, and its refusal becomes a
     ScenarioInvalid naming the field; the checks here cover what they let
-    through, or what only the run would trip over.  Every option the kind's
-    defaults name must be set.  What the run would allocate is counted in
-    Python numbers against _MAX_EVAL_POINTS, the eval grids by the kind's
-    rule, KINDS[kind].grids, on each distinct member grid.
+    through, or what only the run would trip over.  An option or threshold
+    not in KINDS[kind].reads is unknown, a field not in it keeps the kind's
+    default, and every option the defaults name must be set.  What the run
+    would allocate is counted in Python numbers against _MAX_EVAL_POINTS,
+    the eval grids by the kind's rule, KINDS[kind].grids, per member grid.
     """
     if sc.kind not in KINDS:
         raise ScenarioInvalid(f"unknown scenario kind {sc.kind!r}")
@@ -184,18 +190,19 @@ def _parse(sc: Scenario) -> _Inputs:
         val = getattr(sc, name.split()[-1])
         if not ok(val):
             raise ScenarioInvalid(f"{name} must be {what}, got {val!r}")
+    for name in _SETTABLE:
+        val, default = getattr(sc, name), kind.defaults.get(name, getattr(_BLANK, name))
+        if name not in kind.reads and val != default and not (val in _UNSET and default in _UNSET):
+            must = "unset" if default in _UNSET else repr(default)
+            raise ScenarioInvalid(f"{sc.kind} reads no {name}, so it must be {must}; got {val!r}")
     for name, need, ok in (
         ("p", "p > 1, the norm exponent p", lambda v: _is_real(v) and v > 1.0),
         ("weight", "a weight literal", bool),
         ("rho", "aggregation exponents rho > 1", lambda v: _is_list(v, lambda r: _is_real(r) and r > 1.0)),
         ("family", "a function family", bool),
-        ("lambda_grid", "", bool),
     ):
-        val = getattr(sc, name)
-        if name not in kind.defaults and val not in (None, (), [], {}):
-            raise ScenarioInvalid(f"{sc.kind} reads no {name}, so it must be unset; got {val!r}")
-        if name in kind.defaults and not ok(val):
-            raise ScenarioInvalid(f"{sc.kind} needs {need}, got {val!r}")
+        if name in kind.reads and not ok(getattr(sc, name)):
+            raise ScenarioInvalid(f"{sc.kind} needs {need}, got {getattr(sc, name)!r}")
     try:
         weight = parse_weight(sc.weight) if sc.weight else None
     except ValueError as exc:
@@ -213,13 +220,13 @@ def _parse(sc: Scenario) -> _Inputs:
         except ValueError as exc:  # BadParams, too many cells, or a member GridFunction refuses
             raise ScenarioInvalid(f"family: {exc}") from exc
     for key, val in sc.thresholds.items():
-        if key not in DEFAULT_THRESHOLDS:
-            raise ScenarioInvalid(f"unknown threshold {key!r}")
+        if key not in kind.reads or key not in DEFAULT_THRESHOLDS:  # reads names options and fields too
+            raise ScenarioInvalid(f"unknown {sc.kind} threshold {key!r}")
         if not FINITE[1](val):
             raise ScenarioInvalid(f"thresholds.{key} must be {FINITE[0]}, got {val!r}")
     opts = {}
     for key, val in sc.options.items():
-        if key not in kind.options:
+        if key not in kind.reads or key not in OPTION_CHECKS:
             raise ScenarioInvalid(f"unknown {sc.kind} option {key!r}")
         what, ok, read = OPTION_CHECKS[key]
         if not ok(val):
@@ -246,7 +253,8 @@ def _parse(sc: Scenario) -> _Inputs:
     two = sc.kind == "dr_condition"
     lo_i, hi_i, n_j = (opts["j"] + gamma(seq.beta), spec.k_max, scales[min(opts["j"], last)]) if two else (0, last, None)
     # the options that are read against the scales of seq, or that size an
-    # array of the run on their own
+    # array of the run on their own; h1_l1's zone cells at one scale, refined
+    zones = _zone_count(opts["scale_exps"], seq, spec.k_max, 2 * opts["zone_points"]) if "zone_points" in opts else 0
     for key, what, ok in (
         ("j", f"at most {last}, {has}", lambda v: v <= last),
         ("y", f"at most n_j = {n_j!r}, {has}", lambda y: y <= n_j),
@@ -256,7 +264,10 @@ def _parse(sc: Scenario) -> _Inputs:
         ("scale_exps", f"exponents m with n_0 <= 2**m <= n_k_max, from {scales[0]!r} to {top!r}, {has}",
          lambda ms: all(scales[0] <= 2.0**m <= top for m in ms)),
         ("zone_points", f"a count that tiles each scale's atom zones, refined, with at most {_MAX_EVAL_POINTS} cells, {has}",
-         lambda zp: _zone_count(opts["scale_exps"], seq, spec.k_max, 2 * zp) <= _MAX_EVAL_POINTS),
+         lambda zp: zones <= _MAX_EVAL_POINTS),
+        # h1_l1 folds all atoms of one scale in one call over its zone cells
+        ("atoms_per_scale", f"a count with atoms_per_scale * {zones} refined zone cells at most {_MAX_EVAL_POINTS}, {has}",
+         lambda a: a * zones <= _MAX_EVAL_POINTS),
         ("y_count", f"a count with y_count * x_count at most {_MAX_EVAL_POINTS}, the (y, x) grid of one pair",
          lambda yc: yc * opts["x_count"] <= _MAX_EVAL_POINTS),
     ):
@@ -266,7 +277,7 @@ def _parse(sc: Scenario) -> _Inputs:
     # the eval grids the kind's rule gives each distinct member grid,
     # counted without an array, so that one past the cap is refused here
     # and not in the run; the `eval_*` options are the ones that size them
-    sized_by = " and ".join(["seq, k_max, family", *(f"options.{k}" for k in kind.options if k.startswith("eval_"))])
+    sized_by = " and ".join(["seq, k_max, family", *(f"options.{k}" for k in kind.reads if k.startswith("eval_"))])
     grids, points = [], 0
     if kind.grids:
         try:
@@ -349,6 +360,17 @@ class VerificationReport:
     elapsed_s: float = 0.0
 
 
+def _finite(o):
+    """o with every non-finite float made None, so that its JSON is strict: null, never NaN or Infinity."""
+    if isinstance(o, float):
+        return o if math.isfinite(o) else None
+    if isinstance(o, dict):
+        return {k: _finite(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_finite(v) for v in o]
+    return o
+
+
 def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
     if format == "json":
         doc = {
@@ -367,7 +389,12 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
             "seed": rep.seed,
             "passed": rep.passed,
         }
-        return (json.dumps(doc, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n").encode()
+        strict = dict(sort_keys=True, indent=2, allow_nan=False)
+        try:
+            text = json.dumps(doc, default=lambda o: o.tolist(), **strict)
+        except ValueError:  # a non-finite number: the copy is made only then, as it walks the whole doc
+            text = json.dumps(_finite(doc), default=lambda o: _finite(o.tolist()), **strict)
+        return (text + "\n").encode()
     if format == "csv":
         lines = ["case_id,lhs,rhs,ratio"]
         lines += [f"{c.case_id},{c.lhs:.17g},{c.rhs:.17g},{c.ratio:.17g}" for c in rep.cases]

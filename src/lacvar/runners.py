@@ -390,7 +390,8 @@ def _run_dr_condition(sc, inp):
             )
         norm = np.array([d.lhs * seq.scales[d.i] ** (1.0 - 1.0 / r) for d in drs])
         gaps = np.array([d.i - j for d in drs], dtype=np.float64)
-        slope = float(np.polyfit(gaps, np.log(norm), 1)[0])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a norm of 0, or NaN, at a large s
+            slope = float(np.polyfit(gaps, np.log(norm), 1)[0])
         target = -math.log(seq.beta) / r * (1.0 - th["decay_slope_slack"])
         shells = shell_integrals(y, kspec, r, range(1, opts["shell_l_max"] + 1))
         total = float(np.sum(shells.c))
@@ -492,48 +493,56 @@ def _run_indicator_identity(sc, inp):
 class _Kind(NamedTuple):
     run: Callable  # (scenario, its _Inputs) -> _Outcome
     grids: Callable | None  # (f, its _Inputs) -> the eval grids run samples f on; None without a uniform one
-    options: tuple  # the `options` keys run reads
+    reads: tuple  # what run reads that a config may set: Scenario fields, `options` keys, threshold names
     defaults: dict  # the Scenario fields other than kind, at desk-scale budgets
 
 
 # Each scenario kind, once.  The `eval_*` options size the grids of a kind's
 # grid rule; every option the defaults name must be set.
+_SPEC = ("s", "k_max", "tail_tol", "enforce_tail")  # VariationSpec's fields; refine_domination sets its own k_max
 KINDS = {
-    "strong_pp": _Kind(_run_strong_pp, _grids_for, ("eval_h",), dict(
+    "strong_pp": _Kind(_run_strong_pp, _grids_for, ("p", "family", *_SPEC, "eval_h", "stability"), dict(
         seq="geometric:0.03125:2:16", p=2.0,
         family={"kind": "random_step", "count": 20, "cells": 64, "length": 1.0})),
-    "weak_11": _Kind(_run_weak_11, _grids_for, ("eval_h",), dict(
+    "weak_11": _Kind(_run_weak_11, _grids_for, ("family", *_SPEC, "eval_h", "stability", "family_spread"), dict(
         seq="geometric:1:2:10", family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
         options={"eval_h": 0.0625})),
-    "h1_l1": _Kind(_run_h1_l1, None, ("scale_exps", "atoms_per_scale", "atom_cells", "zone_points"), dict(
+    "h1_l1": _Kind(_run_h1_l1, None, (*_SPEC, "scale_exps", "atoms_per_scale", "atom_cells", "zone_points",
+                                      "stability_h1", "scale_spread"), dict(
         seq="geometric:0.00006103515625:2:30",
         options={"scale_exps": list(range(-5, 6)), "atoms_per_scale": 20, "atom_cells": 32, "zone_points": 48})),
-    "linf_bmo": _Kind(_run_linf_bmo, _grids_for, ("eval_h",), dict(
+    "linf_bmo": _Kind(_run_linf_bmo, _grids_for, ("family", *_SPEC, "eval_h", "stability_bmo"), dict(
         seq="geometric:0.03125:2:9",
         family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0})),
-    "l2_multiplier": _Kind(_run_l2_multiplier, _cell_grids, ("eval_cells", "xi_grid"), dict(
+    "l2_multiplier": _Kind(_run_l2_multiplier, _cell_grids, ("family", *_SPEC, "eval_cells", "xi_grid", "stability",
+                                                             "multiplier_slack"), dict(
         seq="geometric:0.015625:2:13", p=2.0,
         family={"kind": "random_step", "count": 100, "cells": 64, "length": 1.0},
         options={"eval_cells": 65536, "xi_grid": "log:1e-6:1e6:8192"})),
-    "weighted_pp": _Kind(_run_weighted_pp, _grids_for, ("eval_h", "ap_min_len"), dict(
+    "weighted_pp": _Kind(_run_weighted_pp, _grids_for, ("p", "weight", "family", *_SPEC, "eval_h", "ap_min_len",
+                                                        "stability_weighted", "ap_stability"), dict(
         seq="geometric:0.0625:2:10", p=2.0, weight="power:0.5",
         family={"kind": "random_step", "count": 10, "cells": 64, "length": 2.0, "x0": -1.0},
         options={"ap_min_len": 0.0625})),
-    "weighted_weak11": _Kind(_run_weighted_weak11, _grids_for, ("eval_h", "dual_r"), dict(
+    "weighted_weak11": _Kind(_run_weighted_weak11, _grids_for, ("weight", "family", *_SPEC, "eval_h", "dual_r",
+                                                                "stability_weighted"), dict(
         seq="geometric:1:2:10", weight="power:-0.25",
         family={"kind": "spike", "epsilons": [0.0625, 0.125, 0.25]},
         options={"eval_h": 0.0625, "dual_r": 2.0})),
-    "vector_valued": _Kind(_run_vector_valued, _grids_for, ("eval_h",), dict(
+    "vector_valued": _Kind(_run_vector_valued, _grids_for, ("p", "rho", "family", *_SPEC, "eval_h", "stability",
+                                                            "monotonicity_slack"), dict(
         seq="geometric:0.03125:2:16", p=2.0, rho=(1.5, 2.0, 3.0),
         family={"kind": "random_step", "count": 8, "cells": 64, "length": 1.0})),
-    "refine_domination": _Kind(_run_refine_domination, _refine_grids, ("sequence_count",), dict(
+    "refine_domination": _Kind(_run_refine_domination, _refine_grids, ("family", "s", "tail_tol", "enforce_tail",
+                                                                       "sequence_count", "domination_slack"), dict(
         seq=(1.0, 8.0), beta=2.0,
         family={"kind": "random_step", "count": 20, "cells": 32, "length": 1.0},
         options={"sequence_count": 500})),
-    "dr_condition": _Kind(_run_dr_condition, None, ("r_values", "j", "i_range", "y", "shell_l_max"), dict(
+    "dr_condition": _Kind(_run_dr_condition, None, ("s", "k_max", "r_values", "j", "i_range", "y", "shell_l_max",
+                                                    "decay_slope_slack", "shell_tail_share"), dict(
         seq="geometric:1:2:24",
         options={"r_values": [1.0, 2.0], "j": 0, "i_range": [1, 8], "shell_l_max": 20})),
-    "fourier_bound": _Kind(_run_fourier_bound, None, ("xi_grid", "k_pair"), dict(
+    "fourier_bound": _Kind(_run_fourier_bound, None, ("xi_grid", "k_pair", "sup_i_bound", "k_doubling_tol", "i2_bound"), dict(
         seq="geometric:1:2:41", options={"xi_grid": "log:1e-6:1e6:8192", "k_pair": [20, 40]})),
     "indicator_identity": _Kind(_run_indicator_identity, None, ("i_range", "y_count", "x_count"), dict(
         seq="geometric:1:2:12", options={"i_range": [1, 8], "y_count": 16, "x_count": 64})),

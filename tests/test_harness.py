@@ -192,7 +192,9 @@ def test_from_config_rejects_unknown_fields():
     from_config({"kind": "h1_l1", "k_max": 20, "options": {"scale_exps": [6]}})
     from_config({"kind": "indicator_identity", "options": {"i_range": [2, 2]}})
     from_config({"kind": "dr_condition", "options": {"i_range": [2, 3]}})
-    assert set(harness.OPTION_CHECKS) == {key for kind in runners.KINDS.values() for key in kind.options}
+    # every option key some kind reads has its check, and no check is unread
+    reads = {key for kind in runners.KINDS.values() for key in kind.reads}
+    assert set(harness.OPTION_CHECKS) == reads - set(DEFAULT_THRESHOLDS) - set(harness._SETTABLE)
     with pytest.raises(BadParams, match="cont"):
         make_family("random_step", {"count": 3, "cont": 3})
 
@@ -306,6 +308,9 @@ def test_family_kinds_refuse_an_eval_grid_too_large_to_build(cfg):
      r"options\.zone_points must be a count that tiles each scale's atom zones, refined, with at most 4194304 cells"),
     ({"kind": "indicator_identity", "options": {"y_count": 1000000, "x_count": 1000000}},
      r"options\.y_count must be a count with y_count \* x_count at most 4194304, the \(y, x\) grid of one pair"),
+    # 10^7 atoms folded in one call over 1,632 refined zone cells, in the run
+    ({"kind": "h1_l1", "options": {"atoms_per_scale": 10000000, "scale_exps": [0]}},
+     r"options\.atoms_per_scale must be a count with atoms_per_scale \* 1632 refined zone cells at most 4194304"),
 ])
 def test_runs_refuse_an_array_too_large_to_build(cfg, field):
     # each of these used to fail to allocate, in from_config or in the run;
@@ -429,6 +434,8 @@ def test_kind_default_without_p_or_family_is_rejected(kind, field):
         "weight": (None, "needs a weight literal"),
         "rho": ((), "needs aggregation exponents rho > 1"),
     }[field]
+    if (kind, field) == ("l2_multiplier", "p"):  # its run reads no p, so p must keep its default 2.0
+        message = "l2_multiplier reads no p, so it must be 2.0; got None"
     with pytest.raises(ScenarioInvalid, match=message):
         replace(default_scenario(kind), **{field: cleared}).validate()
 
