@@ -10,14 +10,12 @@ from that seed, 13 dyadic scales, eval step 0.004), then one line per
 `lacvar fourier-bound` table on the default sequence and frequency grid of
 fourier_bound (at both depths of its k_pair) and of l2_multiplier (at its
 k_max).  Run it in two checkouts and diff the outputs: no diff means the
-same bits.  It exits 1, naming the report on stderr, when a JSON report is
-not strict JSON (a NaN or Infinity where a number stands).
+same bits.
 """
 
 import argparse
 import contextlib
 import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -80,38 +78,21 @@ def fourier_digest(seq: str, grid: str, k: int, tmp: str) -> str:
         return f"{hashlib.sha256(fh.read()).hexdigest()} exit={rc}"
 
 
-def strict_json(data: bytes) -> bool:
-    """Whether data parses as JSON with no NaN, Infinity or -Infinity."""
-    def refuse(name):
-        raise ValueError(f"non-finite constant {name}")
-
-    try:
-        json.loads(data, parse_constant=refuse)
-    except ValueError:
-        return False
-    return True
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 12])
     args = ap.parse_args(argv)
-    rc = 0
     for kind in SCENARIO_KINDS:
         for seed in args.seeds:
             rep = run_scenario(from_config({"kind": kind, "seed": seed}))
             for fmt in ("json", "csv"):
-                data = emit_report(rep, fmt)
-                print(f"{kind} seed={seed} {fmt} {hashlib.sha256(data).hexdigest()}")
-                if fmt == "json" and not strict_json(data):
-                    print(f"{kind} seed={seed}: the JSON report is not strict JSON", file=sys.stderr)
-                    rc = 1
+                print(f"{kind} seed={seed} {fmt} {hashlib.sha256(emit_report(rep, fmt)).hexdigest()}")
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             print(f"cli_variation seed={seed} {cli_digest(seed, tmp)}")
         for kind, seq, grid, k in fourier_calls():
             print(f"fourier-bound {kind} seq={seq} xi={grid} k={k} {fourier_digest(seq, grid, k, tmp)}")
-    return rc
+    return 0
 
 
 if __name__ == "__main__":

@@ -276,8 +276,10 @@ def _parse(sc: Scenario) -> _Inputs:
     inp = _Inputs(seq, spec, weight, fams, {**DEFAULT_THRESHOLDS, **sc.thresholds}, opts, None, kind.grids)
     # the eval grids the kind's rule gives each distinct member grid,
     # counted without an array, so that one past the cap is refused here
-    # and not in the run; the `eval_*` options are the ones that size them
-    sized_by = " and ".join(["seq, k_max, family", *(f"options.{k}" for k in kind.reads if k.startswith("eval_"))])
+    # and not in the run; seq, the fields among k_max and family the kind
+    # reads, and its `eval_*` options are what size them
+    fields = ", ".join(["seq", *(k for k in ("k_max", "family") if k in kind.reads)])
+    sized_by = " and ".join([fields, *(f"options.{k}" for k in kind.reads if k.startswith("eval_"))])
     grids, points = [], 0
     if kind.grids:
         try:
@@ -389,11 +391,7 @@ def emit_report(rep: VerificationReport, format: str = "json") -> bytes:
             "seed": rep.seed,
             "passed": rep.passed,
         }
-        strict = dict(sort_keys=True, indent=2, allow_nan=False)
-        try:
-            text = json.dumps(doc, default=lambda o: o.tolist(), **strict)
-        except ValueError:  # a non-finite number: the copy is made only then, as it walks the whole doc
-            text = json.dumps(_finite(doc), default=lambda o: _finite(o.tolist()), **strict)
+        text = json.dumps(_finite(doc), default=lambda o: _finite(o.tolist()), sort_keys=True, indent=2, allow_nan=False)
         return (text + "\n").encode()
     if format == "csv":
         lines = ["case_id,lhs,rhs,ratio"]

@@ -294,7 +294,7 @@ def test_family_kinds_refuse_an_eval_grid_too_large_to_build(cfg):
 @pytest.mark.parametrize("cfg, field", [
     # passed from_config; the run failed at the midpoints of the grid on seq
     ({"kind": "refine_domination", "seq": "geometric:1:1000:10"},
-     r"the eval grid needs \d+ points, more than 4194304; it is sized by seq, k_max, family$"),
+     r"the eval grid needs \d+ points, more than 4194304; it is sized by seq, family$"),
     # 74.5 GiB and 1.49 GiB of frequencies, asked for inside from_config
     ({"kind": "fourier_bound", "options": {"xi_grid": "log:1e-6:1e6:10000000000"}},
      r"options\.xi_grid: 'log:1e-6:1e6:10000000000' has 20000000001 frequencies, more than 4194304"),

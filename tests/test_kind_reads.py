@@ -1,7 +1,6 @@
 """Each kind accepts only the config values its run reads: `KINDS[kind].reads`."""
 
 import ast
-import importlib.util
 import inspect
 import json
 import math
@@ -15,8 +14,6 @@ import pytest
 from lacvar import DEFAULT_THRESHOLDS, SCENARIO_KINDS, ScenarioInvalid, emit_report, from_config, run_scenario
 from lacvar import harness, runners
 from lacvar.cases import CaseResult, Check
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _keys_read(node) -> set:
@@ -58,6 +55,47 @@ def test_reads_names_the_options_and_thresholds_the_run_reads(kind):
     named = {key for key in row.reads if key in harness.OPTION_CHECKS or key in DEFAULT_THRESHOLDS}
     assert found == named
     assert set(row.reads) <= set(harness.OPTION_CHECKS) | set(DEFAULT_THRESHOLDS) | set(harness._SETTABLE)
+
+
+def _fields_read(node) -> set:
+    """The Scenario fields read under node: sc.<field>, inp.weight, inp.fams
+    (family), and inp.spec, which reads the fields of runners._SPEC it is
+    used for: one, as inp.spec.k_max; those a replace(inp.spec, ...) keeps;
+    else all four."""
+    def inp(v, attr):
+        return isinstance(v, ast.Attribute) and v.attr == attr and isinstance(v.value, ast.Name) and v.value.id == "inp"
+
+    fields, specs, narrowed = set(), [], set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "sc":
+            fields.update({n.attr} & set(harness._SETTABLE))
+        fields.update({"weight"} if inp(n, "weight") else (), {"family"} if inp(n, "fams") else ())
+        if inp(n, "spec"):
+            specs.append(n)
+        if isinstance(n, ast.Attribute) and inp(n.value, "spec"):
+            fields.add(n.attr)
+            narrowed.add(id(n.value))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "replace" and inp(n.args[0], "spec"):
+            fields.update(set(runners._SPEC) - {k.arg for k in n.keywords})
+            narrowed.add(id(n.args[0]))
+    return fields.union(*(runners._SPEC for n in specs if id(n) not in narrowed))
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_reads_names_the_fields_the_run_reads(kind):
+    # both ways, through the runners helpers the run and grid rule call by
+    # name, such as _family_cases, which reads inp.spec and inp.fams
+    defs = {n.name: n for n in ast.parse(Path(runners.__file__).read_text(encoding="utf-8")).body
+            if isinstance(n, ast.FunctionDef)}
+    row = runners.KINDS[kind]
+    todo, seen = [fn.__name__ for fn in (row.run, row.grids) if fn], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo += [n.func.id for n in ast.walk(defs[name]) if isinstance(n, ast.Call)
+                 and getattr(n.func, "id", None) in defs and n.func.id not in seen]
+    found = set().union(*(_fields_read(defs[name]) for name in seen))
+    assert found == {key for key in row.reads if key in harness._SETTABLE}
 
 
 def test_only_runners_and_grid_rules_read_options_and_thresholds():
@@ -148,17 +186,3 @@ def test_a_report_with_non_finite_values_is_strict_json():
     doc = _strict(emit_report(rep))
     assert doc["cases"] == [{"case_id": "fn000", "lhs": None, "rhs": 1.0, "ratio": None, "v": [1.0, None], "w": [None]}]
     assert doc["checks"][0]["detail"] == {"x": None} and doc["sup_ratio"] is None
-
-
-def test_digest_tool_exits_1_on_a_report_that_is_not_strict_json(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("report_digests", SCRIPTS / "report_digests.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    monkeypatch.setattr(tool, "SCENARIO_KINDS", ("indicator_identity",))
-    monkeypatch.setattr(tool, "cli_digest", lambda seed, tmp: "-")
-    monkeypatch.setattr(tool, "fourier_calls", lambda: [])
-    assert tool.main(["--seeds", "0"]) == 0
-    monkeypatch.setattr(tool, "emit_report", lambda rep, fmt: b'{"x": NaN}\n' if fmt == "json" else b"")
-    assert tool.main(["--seeds", "0"]) == 1
-    assert "indicator_identity seed=0: the JSON report is not strict JSON" in capsys.readouterr().err
-    assert tool.strict_json(b'{"x": null}') and not tool.strict_json(b"[-Infinity]")
