@@ -16,7 +16,6 @@ from .lacunary import (
     refine,
 )
 from .gridfn import (
-    Atom,
     BadParams,
     EmptyFamily,
     GridFunction,
@@ -27,7 +26,6 @@ from .gridfn import (
     UniformGrid,
     bmo_norm,
     lp_norm,
-    make_atom,
     make_dyadic_family,
     make_family,
     read_function_csv,
@@ -102,88 +100,3 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LacunarySeq",
-    "RefinedSeq",
-    "SequenceError",
-    "NonPositiveScale",
-    "NotIncreasing",
-    "RatioBelowBeta",
-    "gamma",
-    "parse_sequence",
-    "refine",
-    "UniformGrid",
-    "GridFunction",
-    "GridMismatch",
-    "GridRuns",
-    "RunFunction",
-    "EmptyFamily",
-    "IntervalTooSmall",
-    "BadParams",
-    "Interval",
-    "IntervalFamily",
-    "Atom",
-    "bmo_norm",
-    "lp_norm",
-    "sup_norm",
-    "superlevel_measure",
-    "make_atom",
-    "make_dyadic_family",
-    "make_family",
-    "read_function_csv",
-    "write_function_csv",
-    "VariationSpec",
-    "TailTooLarge",
-    "NonPositiveWindow",
-    "averages_at",
-    "oracle_averages_at",
-    "scale_stack_at",
-    "tail_bound",
-    "default_eval_grid",
-    "variation",
-    "variation_at",
-    "variations",
-    "variations_at",
-    "vector_variation",
-    "F_eval",
-    "fprime",
-    "fprime_check",
-    "multiplier_scans",
-    "multiplier_sums",
-    "multiplier_tail",
-    "default_xi_grid",
-    "parse_xi_grid",
-    "EmptyGrid",
-    "BoundViolation",
-    "KernelSpec",
-    "PreconditionViolated",
-    "IdentityViolated",
-    "kernel_norm",
-    "kernel_diff_norm",
-    "shell_integrals",
-    "hormander_integral",
-    "drlem_check",
-    "indicator_identity",
-    "indicator_identity_counts",
-    "gap_condition_violations",
-    "Weight",
-    "WeightSpec",
-    "NonPositiveWeight",
-    "ap_constant",
-    "a1_constant",
-    "power_weight",
-    "constant_weight",
-    "parse_weight",
-    "Scenario",
-    "ScenarioInvalid",
-    "CaseResult",
-    "Check",
-    "VerificationReport",
-    "SCENARIO_KINDS",
-    "DEFAULT_THRESHOLDS",
-    "default_scenario",
-    "from_config",
-    "run_scenario",
-    "emit_report",
-    "weak_sup",
-]

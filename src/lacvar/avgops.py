@@ -22,18 +22,19 @@ table per call, which a set of points reads by one binary search and a
 gather over every row, with primitive_at's arithmetic; one function is the
 one-column table.  `variation_at` is the one-row case.
 
-`variations` and `vector_variations` sample a family on one eval grid,
-and `variation` one function.  A grid's midpoints are ascending by
-construction, so the order check is skipped, and they are cut into runs
-once: a folded point, or a flat stretch's first point with the points
-that copy it.  Each member is folded only at the runs' first points, its
-representatives, and handed out on the runs as a RunFunction, which
-lp_norm sums without expanding it; `variation` and `vector_variation`
-expand theirs to every midpoint.  The members are folded several per call, in
-groups of about grid.n // representatives, so a group's representatives
-never take more than one array over the grid; on a grid with no flat
-stretch that is one member.  Both routes fold through one generator,
-which packs each batch straight from the points given.
+`variations` is the one driver that samples a family on an eval grid;
+`variation` expands its one member to every midpoint, and
+`vector_variations` folds the members it yields into the rho sums on their
+runs.  A grid's midpoints are ascending by construction, so the order
+check is skipped, and they are cut into runs once: a folded point, or a
+flat stretch's first point with the points that copy it.  Each member is
+folded only at the runs' first points, its representatives, and handed
+out on the runs as a RunFunction, which lp_norm sums without expanding
+it.  The members are folded several per call, in groups of about
+grid.n // representatives, so a group's representatives never take more
+than one array over the grid; on a grid with no flat stretch that is one
+member.  variations_at and variations fold through one generator, which
+packs each batch straight from the points given.
 """
 
 from __future__ import annotations
@@ -501,60 +502,48 @@ def variation(
     return next(variations([f], seq, spec, eval_grid)).on_grid()
 
 
-def _representatives(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, grid: UniformGrid):
-    """V_s f for each f of fs at the run representatives of grid's midpoints, unchecked.
+def variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, eval_grid: UniformGrid):
+    """V_s f for each f of fs sampled at eval_grid's midpoints: an iterator
+    of one RunFunction per f, in order, on one GridRuns of the grid.
 
-    A run is a folded point and the points of a flat stretch that copy it.
-    Returns (counts, rows): counts[i] is the length of run i, and rows
-    yields, for each f in order, V_s f at the first point of every run, so
-    np.repeat(row, counts) is V_s f at every midpoint.  Each row is held to
-    the tail gate before it is yielded.  The members are folded in groups
-    of about grid.n // len(counts), _CHUNK // len(group) points per call, so
-    that a group's representatives take at most one V_s array of the grid;
-    the rows of a group are views of one read-only array, folded when its
-    first row is asked for.  The representatives are packed from the
-    midpoints one batch at a time, as variations_at packs its points.
+    The functions must share one grid; that and the sequence's length are
+    checked here, before anything is folded.  The midpoints are cut into
+    runs once: a folded point, or a flat stretch's first point with the
+    points that copy it.  V_s f is folded only at the runs' first points,
+    the representatives, several members per kernel call: in groups of
+    grid.n // representatives members, _CHUNK // len(group) points per
+    call, so that a group's representatives take at most one V_s array of
+    the grid, packed from the midpoints a batch at a time as variations_at
+    packs its points.  A group is folded when its first member is reached,
+    into one read-only array whose rows the members take; beyond the
+    member in hand only that group is held.  A member's on_grid() has the
+    bits of variations_at([f], seq, spec, eval_grid.midpoints), and with
+    spec.enforce_tail each member is held to the tail gate, on its
+    representatives, as it is reached.  The members share their GridRuns,
+    so lp_norm builds its sum plan once for all of them.
     """
+    _check_family(fs, seq, spec)
     scales = seq.scales[: spec.k_max + 1]
-    x = grid.midpoints
+    x = eval_grid.midpoints
     below, above = _zone_edges(fs[0], scales)
     spans = _runs(fs[0], below, above, x)[0]
-    counts = np.diff(np.concatenate([np.arange(a, b) for a, b in spans]), append=x.size)
+    runs = GridRuns(eval_grid, np.diff(np.concatenate([np.arange(a, b) for a, b in spans]), append=x.size))
+    reps = runs.counts.size
 
-    def rows():
-        size = x.size // counts.size  # at least 1: every run holds a point
+    def members():
+        size = x.size // reps  # at least 1: every run holds a point
         for lo in range(0, len(fs), size):
             group = fs[lo : lo + size]
-            vals, at = np.empty((len(group), counts.size)), 0
+            vals, at = np.empty((len(group), reps)), 0
             for _, res in _folded(group, scales, spec.s, x, spans, below, above):
                 vals[:, at : at + len(res)] = res.T
                 at += len(res)
             vals.setflags(write=False)
             for f, row in zip(group, vals):
                 _gate(f, row, seq, spec)
-                yield row
+                yield RunFunction(runs, row)
 
-    return counts, rows()
-
-
-def variations(fs: list[GridFunction], seq: LacunarySeq, spec: VariationSpec, eval_grid: UniformGrid):
-    """V_s f for each f of fs sampled at eval_grid's midpoints: an iterator
-    of one RunFunction per f, in order, on one GridRuns of the grid.
-
-    The functions must share one grid; that and the sequence's length are
-    checked here, before anything is folded.  V_s f is folded only at the
-    run representatives (see _representatives), several members per
-    kernel call, so beyond the member in hand only one group's
-    representatives are held.  A member's on_grid() has the bits of
-    variations_at([f], seq, spec, eval_grid.midpoints), and with
-    spec.enforce_tail each member is held to the tail gate as it is
-    reached.  The members share their GridRuns, so lp_norm builds its sum
-    plan once for all of them.
-    """
-    _check_family(fs, seq, spec)
-    counts, rows = _representatives(fs, seq, spec, eval_grid)
-    runs = GridRuns(eval_grid, counts)
-    return (RunFunction(runs, row) for row in rows)
+    return members()
 
 
 def vector_variations(
@@ -565,10 +554,10 @@ def vector_variations(
     eval_grid: UniformGrid | None = None,
 ) -> list[RunFunction]:
     """Pointwise ell^rho aggregates (sum_j (V_s f_j)^rho)^(1/rho), one
-    RunFunction per rho, on one GridRuns of the eval grid.
+    RunFunction per rho, on the GridRuns of the members that `variations`
+    yields on the eval grid.
 
-    Each V_s f_j is computed once, at the run representatives of the
-    grid's midpoints (see _representatives), and folded into every rho's
+    Each V_s f_j is computed once, on its runs, and folded into every rho's
     sum there, _CHUNK points at a time through scratch copies.  So the sums
     take 2 len(rhos) arrays of the representatives' size, and beyond them
     one group of representatives and O(_CHUNK) scratch are held; nothing
@@ -577,26 +566,25 @@ def vector_variations(
     for rho in rhos:
         if not rho > 1.0:
             raise ValueError(f"aggregation exponent must exceed 1, got {rho!r}")
-    _check_family(fs, seq, spec)
     if eval_grid is None:
+        _check_family(fs, seq, spec)  # before the default grid reads fs[0] and scale k_max
         eval_grid = default_eval_grid(fs[0], seq, spec.k_max)
-    counts, rows = _representatives(fs, seq, spec, eval_grid)
-    r = counts.size
-    sums = [(np.zeros(r), np.zeros(r)) for _ in rhos]
-    term, big = np.empty(_CHUNK), np.empty(_CHUNK)
-    for v in rows:
+    sums, term, big = [], np.empty(_CHUNK), np.empty(_CHUNK)
+    for v in variations(fs, seq, spec, eval_grid):
+        r = v.run_values.size
+        sums = sums or [(np.zeros(r), np.zeros(r)) for _ in rhos]
         for lo in range(0, r, _CHUNK):
             n = min(_CHUNK, r - lo)
             for rho, (acc, comp) in zip(rhos, sums):
-                np.copyto(term[:n], v[lo : lo + n])
+                np.copyto(term[:n], v.run_values[lo : lo + n])
                 _fold_power(acc[lo : lo + n], comp[lo : lo + n], term[:n], rho, big[:n])
-    runs, out = GridRuns(eval_grid, counts), []
+    out = []
     for rho in rhos:
         acc, comp = sums.pop(0)  # each sum is freed once its result is made
         acc += comp
         acc **= 1.0 / rho
         acc.setflags(write=False)
-        out.append(RunFunction(runs, acc))
+        out.append(RunFunction(v.runs, acc))
     return out
 
 

@@ -286,6 +286,8 @@ def _dyadic_lattices(domain: Interval, min_len: float, margin: float, shifts: tu
     lo, hi = domain.lo - margin, domain.hi + margin
     if not min_len > 0.0:
         raise ValueError("min_len must be positive")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the padded domain [{lo!r}, {hi!r}) has no finite length")
     m_top = int(np.floor(np.log2(hi - lo) + 1e-12))
     m_bot = int(np.ceil(np.log2(min_len) - 1e-12))
     if m_top < m_bot:
@@ -391,20 +393,13 @@ def _max_oscillation(f, lo, hi, avg, i0, rows, c) -> float:
     return best
 
 
-@dataclass(frozen=True, eq=False)
-class Atom:
-    """Mean-zero function supported on `interval` with sup norm <= 1/|interval|."""
-
-    fn: GridFunction
-    interval: Interval
-
-
 def atom_pattern(seed: int, cells: int = 32) -> tuple[np.ndarray, float]:
-    """The seeded draw of make_atom: mean-zero cell values and their peak |v|.
+    """A seeded atom draw: mean-zero cell values and their peak |v|.
 
     The pattern does not depend on the interval, so a caller that needs one
     seed's atom at several scales draws it once and dilates it with
-    dilate_atom.
+    dilate_atom: the atoms of one seed at different scales are dilates of
+    each other.
     """
     if cells < 2:
         raise IntervalTooSmall("an atom needs at least two cells to have zero mean")
@@ -419,19 +414,11 @@ def atom_pattern(seed: int, cells: int = 32) -> tuple[np.ndarray, float]:
     return v, peak
 
 
-def dilate_atom(I: Interval, pattern: tuple[np.ndarray, float]) -> Atom:
-    """The atom of an atom_pattern on I, scaled to peak exactly 1/|I|."""
+def dilate_atom(I: Interval, pattern: tuple[np.ndarray, float]) -> GridFunction:
+    """The atom of an atom_pattern on I: mean zero, supported on I, and
+    scaled to peak exactly 1/|I|."""
     v, peak = pattern
-    return Atom(GridFunction(I.lo, I.length / v.size, v * (1.0 / (peak * I.length))), I)
-
-
-def make_atom(I: Interval, seed: int, cells: int = 32) -> Atom:
-    """Random mean-zero step function on I scaled to peak exactly 1/|I|.
-
-    The same seed gives the same cell pattern whatever the interval, so a
-    family of atoms at different scales consists of dilates of each other.
-    """
-    return dilate_atom(I, atom_pattern(seed, cells))
+    return GridFunction(I.lo, I.length / v.size, v * (1.0 / (peak * I.length)))
 
 
 # The parameters each family kind reads, the first one required; all take x0.
@@ -482,7 +469,7 @@ PARAM_CHECKS = {
 
 def check_family_params(kind: str, params: dict) -> None:
     """Raise BadParams for an unknown kind, an unknown or missing parameter, or a value PARAM_CHECKS refuses."""
-    if kind not in FAMILY_PARAMS:
+    if not isinstance(kind, str) or kind not in FAMILY_PARAMS:
         raise BadParams(f"unknown family kind {kind!r}")
     names = FAMILY_PARAMS[kind]
     unknown = set(params) - {"x0", *names}

@@ -41,7 +41,7 @@ from .gridfn import (COUNT, FINITE, NATURAL, POSITIVE, GridFunction, Interval, U
 from .gridfn import weak_sup  # unused here: perfbench times it as lacvar.harness.weak_sup
 from .lacunary import LacunarySeq, gamma, parse_sequence
 from .runners import KINDS, _bmo_family, _zone_count
-from .weights import parse_weight, Weight, WeightSpec
+from .weights import NonPositiveWeight, parse_weight, Weight, WeightSpec
 
 SCHEMA_VERSION = "lacvar-report/1"
 
@@ -152,6 +152,22 @@ _BLANK, _UNSET = Scenario(""), (None, (), [], {})
 _SETTABLE = ("p", "weight", "rho", "family", "lambda_grid", "s", "k_max", "tail_tol", "enforce_tail")
 
 
+def _kind(name):
+    """KINDS[name], or ScenarioInvalid for a name that is not a kind's, a list or an object included."""
+    if not isinstance(name, str) or name not in KINDS:
+        raise ScenarioInvalid(f"unknown scenario kind {name!r}")
+    return KINDS[name]
+
+
+def _check_weight(weight: WeightSpec, grids) -> None:
+    """ScenarioInvalid naming `weight` where the run would sample it on one of grids and fail."""
+    for g in grids:
+        try:
+            weight.check(g)
+        except NonPositiveWeight as exc:
+            raise ScenarioInvalid(f"weight: {exc}") from exc
+
+
 class _Inputs(NamedTuple):
     """A scenario parsed into what its runner reads."""
 
@@ -161,7 +177,7 @@ class _Inputs(NamedTuple):
     fams: list  # the family's members, empty for the kinds that read none
     th: dict  # DEFAULT_THRESHOLDS with the scenario's own over them
     opts: dict  # the options as OPTION_CHECKS reads them
-    probe: object  # weighted_pp's A_p families, weighted_weak11's w^dual_r, else None
+    probe: object  # weighted_pp's A_p (family, grid) pairs, weighted_weak11's w^dual_r, else None
     grids: object  # KINDS[kind].grids, the rule: grids held here would keep their midpoints all run
 
 
@@ -176,9 +192,7 @@ def _parse(sc: Scenario) -> _Inputs:
     would allocate is counted in Python numbers against _MAX_EVAL_POINTS,
     the eval grids by the kind's rule, KINDS[kind].grids, per member grid.
     """
-    if sc.kind not in KINDS:
-        raise ScenarioInvalid(f"unknown scenario kind {sc.kind!r}")
-    kind = KINDS[sc.kind]
+    kind = _kind(sc.kind)
     # types that VariationSpec takes but should not, such as s=True
     for name, what, ok in (
         ("variation exponent s", "a number", _is_real),
@@ -280,33 +294,45 @@ def _parse(sc: Scenario) -> _Inputs:
     # reads, and its `eval_*` options are what size them
     fields = ", ".join(["seq", *(k for k in ("k_max", "family") if k in kind.reads)])
     sized_by = " and ".join([fields, *(f"options.{k}" for k in kind.reads if k.startswith("eval_"))])
-    grids, points = [], 0
+    grids, points, members = [], 0, list({(f.x0, f.h, f.n): f for f in fams}.values())
     if kind.grids:
         try:
-            grids = [g for f in {(f.x0, f.h, f.n): f for f in fams}.values() for g in kind.grids(f, inp)]
+            grids = [g for f in members for g in kind.grids(f, inp)]
             points = max((g.n for g in grids), default=0)
         except (OverflowError, ValueError):  # a count past the float range, or a step that underflows
             points = math.inf
     if points > _MAX_EVAL_POINTS:
         raise ScenarioInvalid(f"the eval grid needs {points} points, more than {_MAX_EVAL_POINTS}; it is sized by {sized_by}")
+    # a kind that reads rho aggregates its members pointwise
+    if "rho" in kind.reads and len(members) > 1:
+        raise ScenarioInvalid(f"family: the members lie on {len(members)} grids; {sc.kind} needs them on one")
+    # the weight is sampled on each member's grid and each grid of the rule
+    if "weight" in kind.reads:
+        _check_weight(weight, [f.grid for f in members] + grids)
     # what the weighted kinds build from an option, the family and the weight:
-    # A_p probe families at ap_min_len and half of it, and w^dual_r on one
-    # unit from the family's left end; and linf_bmo's dyadic families on
-    # each eval grid, counted the same way
+    # A_p probe families at ap_min_len and half of it, with the grids the
+    # weight is sampled on for them, and w^dual_r on one unit from the
+    # family's left end; and linf_bmo's dyadic families on each eval grid,
+    # counted the same way
     probe, f0 = None, fams[0] if fams else None
     try:
         if sc.kind == "weighted_pp":
             key, ml = "ap_min_len", opts["ap_min_len"]
-            probe = [make_dyadic_family(Interval(f0.x0, f0.x1), m, shifts=(0.0, 0.5)) for m in (ml, ml / 2.0)]
+            probe = [(make_dyadic_family(Interval(f0.x0, f0.x1), m, shifts=(0.0, 0.5)),
+                      UniformGrid(f0.x0, h, int(round((f0.x1 - f0.x0) / h)))) for m, h in ((ml, f0.h), (ml / 2.0, f0.h / 2.0))]
+            _check_weight(weight, [g for _, g in probe])
         if sc.kind == "weighted_weak11":
-            key, r = "dual_r", opts["dual_r"]
-            w = weight.sample(UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))).fn
+            key, r, g = "dual_r", opts["dual_r"], UniformGrid(f0.x0, f0.h, max(int(round(1.0 / f0.h)), 2))
+            _check_weight(weight, [g])
+            w = weight.sample(g).fn
             with np.errstate(over="ignore"):
                 probe = Weight(GridFunction(w.x0, w.h, w.values**r), f"{weight.label}^{r:g}")
         if sc.kind == "linf_bmo":
             key = "eval_h"
             for g in grids:
                 _bmo_family(g, build=dyadic_family_size)
+    except ScenarioInvalid:  # the weight's own refusal
+        raise
     except ValueError as exc:  # EmptyFamily, too many intervals, a power that overflows or underflows to 0
         inputs = f"; the eval grid is sized by {sized_by}" if sc.kind == "linf_bmo" else ""
         raise ScenarioInvalid(f"options.{key}: {exc}{inputs}") from exc
@@ -315,9 +341,7 @@ def _parse(sc: Scenario) -> _Inputs:
 
 def default_scenario(kind: str) -> Scenario:
     """The documented defaults of one scenario kind (desk-scale budgets)."""
-    if kind not in KINDS:
-        raise ScenarioInvalid(f"unknown scenario kind {kind!r}")
-    return Scenario(kind, **copy.deepcopy(KINDS[kind].defaults))
+    return Scenario(kind, **copy.deepcopy(_kind(kind).defaults))
 
 
 def from_config(config: dict) -> Scenario:

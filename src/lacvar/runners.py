@@ -87,13 +87,7 @@ def _run_weighted_pp(sc, inp):
     stab, checks = _stability(cases, th["stability_weighted"])
 
     # family-relative A_p constant of the weight, at two family resolutions
-    f0 = inp.fams[0]
-
-    def ap_at(fam, h: float) -> float:
-        grid = UniformGrid(f0.x0, h, int(round((f0.x1 - f0.x0) / h)))
-        return ap_constant(wspec.sample(grid), p, fam)
-
-    ap_base, ap_fine = (ap_at(fam, h) for fam, h in zip(inp.probe, (f0.h, f0.h / 2.0)))
+    ap_base, ap_fine = (ap_constant(wspec.sample(grid), p, fam) for fam, grid in inp.probe)
     ap_change = _rel_change(ap_base, ap_fine)
     checks.append(
         Check(
@@ -199,7 +193,7 @@ def _run_h1_l1(sc, inp):
         # the atoms of one scale share their interval, so they share its
         # grid and zone cells: one batched call per zone grid
         I = Interval(0.0, 2.0**m)
-        fns = [dilate_atom(I, pat).fn for pat in pats]
+        fns = [dilate_atom(I, pat) for pat in pats]
         base_l1, fine_l1 = (
             [float(np.dot(row, widths)) for row in variations_at(fns, seq, spec, x)]
             for x, widths in (_zone_cells(I, seq, spec, scale * zp) for scale in (1, 2))

@@ -128,6 +128,22 @@ class WeightSpec:
             return constant_weight(self.param, grid)
         return power_weight(self.param, grid)
 
+    def check(self, grid: UniformGrid) -> None:
+        """Raise NonPositiveWeight where sample(grid) would, in O(1): a
+        power |x|^alpha is monotone in |x|, so its extremes on the grid are
+        at the midpoints of the ends and next to 0, which are computed with
+        the arithmetic of grid.midpoints."""
+        if self.kind == "power":
+            t = -grid.x0 / grid.h - 0.5  # where a midpoint would be 0
+            near = range(int(t) - 1, int(t) + 3) if 0.0 <= t < grid.n else ()
+            i = np.array([j for j in (0, grid.n - 1, *near) if 0 <= j < grid.n], dtype=np.float64)
+            with np.errstate(all="ignore"):
+                vals = np.abs(grid.x0 + grid.h * (i + 0.5)) ** self.param
+            if not np.all((vals > 0.0) & (vals < np.inf)):
+                raise NonPositiveWeight(
+                    f"{self.label} is 0 or not finite at a midpoint of the grid at x0={grid.x0!r} with step {grid.h!r}"
+                )
+
     @property
     def label(self) -> str:
         return f"{self.kind}:{self.param:g}"

@@ -712,7 +712,8 @@ def test_variation_hands_its_result_over_without_a_copy():
 
 
 def test_vector_variations_hand_their_results_over_read_only(monkeypatch):
-    # each aggregate reaches RunFunction read-only and is kept as it is
+    # each aggregate reaches RunFunction read-only and is kept as it is; the
+    # members that `variations` hands over come first, one per function
     handed = []
 
     def recording(runs, values):
@@ -723,7 +724,8 @@ def test_vector_variations_hand_their_results_over_read_only(monkeypatch):
     rng = np.random.default_rng(0)
     fs = [GridFunction(0.0, 0.125, rng.uniform(-1.0, 1.0, size=8)) for _ in range(3)]
     aggs = vector_variations(fs, parse_sequence("geometric:0.25:2:6"), _spec(k_max=5), (1.5, 2.0))
-    assert len(handed) == len(aggs) == 2
+    assert len(handed) == len(fs) + len(aggs)
+    handed = handed[len(fs):]
     assert aggs[0].runs is aggs[1].runs
     for agg, values in zip(aggs, handed):
         assert not values.flags.writeable
@@ -866,7 +868,7 @@ def test_variations_match_one_member_calls_exactly(monkeypatch):
         spec = _spec(s=(1.0, 2.0, 2.5, 7.3)[i % 4], k_max=5)
         grid = UniformGrid(-0.5, h, int((L + 0.5) / h))
         x = grid.midpoints
-        counts, _ = avgops._representatives(fs, seq, spec, grid)
+        counts = next(variations(fs[:1], seq, spec, grid)).runs.counts
         size = grid.n // counts.size
         if L == 1:
             assert counts.size == grid.n and size == 1
@@ -907,12 +909,11 @@ def test_representatives_repeat_to_the_midpoint_samples(seed, s, count, chunk):
     grid = UniformGrid(grid.x0 - rng.uniform(0.0, 1.0), grid.h, grid.n + int(rng.integers(0, 200)))
     want = variations_at(fs, seq, spec, grid.midpoints)
     with mock.patch.object(avgops, "_CHUNK", chunk):
-        counts, rows = avgops._representatives(fs, seq, spec, grid)
-        rows = list(rows)
         got = list(variations(fs, seq, spec, grid))
+    counts = got[0].runs.counts
     assert counts.sum() == grid.n and counts.min() >= 1
-    assert len(rows) == len(got) == count
-    for row, v, w in zip(rows, got, want):
+    assert len(got) == count and all(v.runs is got[0].runs for v in got)
+    for row, v, w in zip((v.run_values for v in got), got, want):
         assert row.size == counts.size
         assert np.repeat(row, counts).tobytes() == w.tobytes() == v.on_grid().values.tobytes()
 
@@ -972,7 +973,7 @@ def test_variations_scratch_is_one_member_and_one_group():
     for f in fs:
         f.primitive_at(0.0)  # build the cached edge tables outside the traced call
     # and the midpoints, which this call caches on the grid
-    reps = avgops._representatives(fs[:1], seq, spec, grid)[0].size
+    reps = next(variations(fs[:1], seq, spec, grid)).runs.counts.size
     size = grid.n // reps
     assert (reps, size) == (8070, 8)
     tracemalloc.start()
@@ -1000,7 +1001,7 @@ def test_vector_variations_sums_are_sized_by_the_representatives():
     grid.midpoints  # cached outside the traced call
     for f in fs:
         f.primitive_at(0.0)
-    reps = avgops._representatives(fs[:1], seq, spec, grid)[0].size
+    reps = next(variations(fs[:1], seq, spec, grid)).runs.counts.size
     assert (grid.n, reps) == (131_200, 1_545)
     rhos = (1.5, 2.0, 3.0)
     tracemalloc.start()

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from lacvar import gridfn, runs
 from lacvar.gridfn import atom_pattern, dilate_atom
 from lacvar import (
-    Atom,
     BadParams,
     EmptyFamily,
     GridFunction,
@@ -19,7 +18,6 @@ from lacvar import (
     UniformGrid,
     bmo_norm,
     lp_norm,
-    make_atom,
     make_dyadic_family,
     make_family,
     read_function_csv,
@@ -508,41 +506,39 @@ def test_bmo_at_most_twice_sup(vals, seed):
 
 def test_atom_frozen_shape():
     I = Interval(0.0, 2.0)
-    atom = make_atom(I, seed=7, cells=16)
-    assert isinstance(atom, Atom)
-    assert atom.interval == I
-    assert atom.fn.n == 16
-    assert atom.fn.x0 == 0.0 and atom.fn.x1 == 2.0
-    assert sup_norm(atom.fn) == pytest.approx(1.0 / I.length, rel=1e-15)
-    assert abs(atom.fn.integral(I.lo, I.hi)) <= 1e-14 * sup_norm(atom.fn) * I.length
+    atom = dilate_atom(I, atom_pattern(7, 16))
+    assert atom.n == 16
+    assert atom.x0 == 0.0 and atom.x1 == 2.0
+    assert sup_norm(atom) == pytest.approx(1.0 / I.length, rel=1e-15)
+    assert abs(atom.integral(I.lo, I.hi)) <= 1e-14 * sup_norm(atom) * I.length
 
 
 def test_atoms_at_different_scales_are_dilates():
-    a = make_atom(Interval(0.0, 1.0), seed=3, cells=8)
-    b = make_atom(Interval(0.0, 4.0), seed=3, cells=8)
-    assert np.allclose(b.fn.values * 4.0, a.fn.values, rtol=1e-15)
+    pattern = atom_pattern(3, 8)
+    a = dilate_atom(Interval(0.0, 1.0), pattern)
+    b = dilate_atom(Interval(0.0, 4.0), pattern)
+    assert np.allclose(b.values * 4.0, a.values, rtol=1e-15)
 
 
 @pytest.mark.parametrize("length", [0.03125, 1.0, 3.0, 0.1, 2.0**5])
 def test_atom_keeps_the_bits_of_one_draw_per_call(length):
-    # the old make_atom, drawing and scaling in one go, is the oracle of the
-    # draw that h1_l1 makes once per seed and dilates to every scale
+    # drawing and scaling in one go is the oracle of the draw that h1_l1
+    # makes once per seed and dilates to every scale
     I = Interval(-0.5, -0.5 + length)
     v = np.random.default_rng(11).uniform(-1.0, 1.0, size=16)
     v -= v.mean()
     v -= v.mean()
     v *= 1.0 / (np.max(np.abs(v)) * I.length)
     pattern = atom_pattern(11, 16)
-    for atom in (make_atom(I, 11, 16), dilate_atom(I, pattern)):
-        assert atom.interval == I
-        assert (atom.fn.x0, atom.fn.h) == (I.lo, I.length / 16)
-        assert atom.fn.values.tobytes() == v.tobytes()
+    for atom in (dilate_atom(I, atom_pattern(11, 16)), dilate_atom(I, pattern)):
+        assert (atom.x0, atom.h) == (I.lo, I.length / 16)
+        assert atom.values.tobytes() == v.tobytes()
     assert not pattern[0].flags.writeable
 
 
 def test_atom_needs_two_cells():
     with pytest.raises(IntervalTooSmall):
-        make_atom(Interval(0.0, 1.0), seed=0, cells=1)
+        atom_pattern(0, cells=1)
 
 
 def test_family_indicator_and_spike():

@@ -543,24 +543,19 @@ def test_cases_run_on_the_calling_thread(monkeypatch):
 
 
 def test_vector_valued_computes_each_variation_once(monkeypatch):
-    # every V_s f comes from the family route's rows; count them per member
-    # and grid, holding each grid so that no two share an id
+    # every V_s f comes from the family route's members; count them per
+    # member and grid, holding each grid so that no two share an id
     rows = collections.Counter()
     grids = []
-    original = avgops._representatives
+    original = avgops.variations
 
     def counting(fs, seq, spec, grid):
         grids.append(grid)
-        counts, it = original(fs, seq, spec, grid)
+        for f, v in zip(fs, original(fs, seq, spec, grid)):
+            rows[id(f), id(grid)] += 1
+            yield v
 
-        def recorded():
-            for f, row in zip(fs, it):
-                rows[id(f), id(grid)] += 1
-                yield row
-
-        return counts, recorded()
-
-    monkeypatch.setattr(avgops, "_representatives", counting)
+    monkeypatch.setattr(avgops, "variations", counting)
     rep = run_scenario(from_config({"kind": "vector_valued", "family": {"count": 2}}))
     assert len(rep.cases) == 3  # rho = 1.5, 2, 3
     # V_s f does not depend on rho: each member once on the base grid and

@@ -207,3 +207,24 @@ def test_parse_weight_literals():
     w2 = parse_weight("power:0.5").sample(UniformGrid(1.0, 0.5, 4))
     assert w2.label == "power:0.5"
     assert parse_weight("power:-0.25").label == "power:-0.25"
+
+
+@given(
+    st.sampled_from(["power:0.5", "power:-0.25", "power:0", "power:3", "power:400", "power:-400", "constant:2"]),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=-20, max_value=320),
+    st.sampled_from([0.5, 0.25, 0.0, 0.49999999]),
+)
+def test_weight_check_refuses_what_sampling_refuses(literal, h, n, k, frac):
+    # grids whose midpoint k sits on 0 or next to it, or left or right of
+    # the grid, and exponents whose powers underflow or overflow off 0
+    spec, grid = parse_weight(literal), UniformGrid(-h * (k + frac), h, n)
+    try:
+        with np.errstate(all="ignore"):
+            spec.sample(grid)
+    except NonPositiveWeight:
+        with pytest.raises(NonPositiveWeight):
+            spec.check(grid)
+    else:
+        spec.check(grid)
